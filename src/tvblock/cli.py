@@ -17,7 +17,7 @@ import time
 from typing import Optional, Sequence
 
 from . import __version__, dnswire, metrics, pii, psl, reports, sinkhole
-from .blocklists import BlockList, build_list
+from .blocklists import BlockList, build_list, is_blocked
 from .config import GlobalConfig, load_config, load_lists_manifest
 from .party import (
     DEFAULT_STOP_TOKENS,
@@ -173,17 +173,18 @@ def _stop_tokens(cfg: GlobalConfig):
     return frozenset(t.lower() for t in cfg.stop_tokens)
 
 
-def _build_ctx(dataset: Dataset, rules, cfg: GlobalConfig):
-    markers = None
-    if dataset.platform and dataset.platform.name in cfg.platform_markers:
-        markers = cfg.platform_markers[dataset.platform.name]
-    processes: Sequence[str] = ()
-    if cfg.platform_processes_path:
-        try:
-            with open(cfg.platform_processes_path, encoding="utf-8") as fh:
-                processes = load_platform_processes(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read platform process file: {exc}") from exc
+def _load_processes(cfg: GlobalConfig) -> frozenset[str]:
+    if not cfg.platform_processes_path:
+        return frozenset()
+    try:
+        with open(cfg.platform_processes_path, encoding="utf-8") as fh:
+            return load_platform_processes(fh)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read platform process file: {exc}") from exc
+
+
+def _build_ctx(dataset: Dataset, rules, cfg: GlobalConfig, processes: frozenset[str]):
+    markers = cfg.platform_markers.get(dataset.platform.name) if dataset.platform else None
     return build_context(
         dataset,
         rules,
@@ -250,17 +251,16 @@ def cmd_ingest(args) -> int:
 # -- evaluate ---------------------------------------------------------------
 
 
-def _block_rate_rows(dataset: Dataset, lists, rules, cfg: GlobalConfig) -> list[dict]:
+def _block_rate_rows(dataset: Dataset, ctx, lists, cfg: GlobalConfig) -> list[dict]:
     platform = dataset.platform.name if dataset.platform else dataset.label
-    fqdns = dataset.domain_fqdns()
-    eslds = metrics.dataset_eslds(dataset, rules)
+    fqdns = dataset.index.domain_names()
     rows = []
     for bl in lists:
         row = {
             "platform": platform,
             "list": bl.name,
             "fqdn_count": len(fqdns),
-            "esld_count": len(eslds),
+            "esld_count": len(ctx.esld_to_apps),
             "rate_exact": metrics.block_rate(fqdns, bl, "exact") if fqdns else None,
             "rate_suffix": metrics.block_rate(fqdns, bl, "suffix") if fqdns else None,
         }
@@ -272,13 +272,12 @@ def _block_rate_rows(dataset: Dataset, lists, rules, cfg: GlobalConfig) -> list[
 
 
 def _flow_rate(dataset: Dataset, bl: BlockList, mode) -> Optional[float]:
-    from .blocklists import is_blocked
-
-    flows = [r for r in dataset.records if not r.is_ip]
-    if not flows:
+    flows = {name: n for name, (is_ip, n) in dataset.index.names.items() if n and not is_ip}
+    total = sum(flows.values())
+    if not total:
         return None
-    hits = sum(1 for r in flows if is_blocked(r.fqdn, bl, mode))
-    return 100.0 * hits / len(flows)
+    hits = sum(n for name, n in flows.items() if is_blocked(name, bl, mode))
+    return 100.0 * hits / total
 
 
 def cmd_evaluate(args) -> int:
@@ -286,6 +285,7 @@ def cmd_evaluate(args) -> int:
     try:
         lists = _build_lists(cfg)
         rules = _load_rules(cfg)
+        processes = _load_processes(cfg)
         bundles = [load_bundle(path) for path in args.bundle]
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -306,9 +306,13 @@ def cmd_evaluate(args) -> int:
 
     for bundle_dir, dataset in zip(args.bundle, bundles):
         platform = dataset.platform.name if dataset.platform else dataset.label
-        ctx = _build_ctx(dataset, rules, cfg)
         try:
-            block_rows.extend(_block_rate_rows(dataset, lists, rules, cfg))
+            ctx = _build_ctx(dataset, rules, cfg, processes)
+        except Exception as exc:
+            failures.append(f"context[{dataset.label}]: {exc}")
+            continue
+        try:
+            block_rows.extend(_block_rate_rows(dataset, ctx, lists, cfg))
         except Exception as exc:
             failures.append(f"block_rates[{dataset.label}]: {exc}")
         try:
@@ -342,7 +346,7 @@ def cmd_evaluate(args) -> int:
             fn_rows.extend(
                 (platform, row)
                 for row in metrics.keyword_fn_candidates(
-                    dataset.domain_fqdns(), lists, keywords, cfg.match_mode
+                    dataset.index.domain_names(), lists, keywords, cfg.match_mode
                 )
             )
         except Exception as exc:
@@ -368,7 +372,7 @@ def cmd_evaluate(args) -> int:
             ats_labeled = sorted(
                 fqdn
                 for dataset in bundles
-                for fqdn in dataset.domain_fqdns()
+                for fqdn in dataset.index.domain_names()
                 if metrics.ats_label(fqdn, labels, lists, cfg.match_mode)
             )
         except (OSError, ValueError) as exc:
@@ -470,6 +474,7 @@ def cmd_scan_pii(args) -> int:
     try:
         lists = _build_lists(cfg)
         rules = _load_rules(cfg)
+        processes = _load_processes(cfg)
         dataset = load_bundle(args.bundle)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -490,14 +495,8 @@ def cmd_scan_pii(args) -> int:
         print(f"error: invalid PII spec: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    ctx = _build_ctx(dataset, rules, cfg)
-    developers = {}
-    for rec in dataset.records:
-        if rec.app_id is not None and rec.developer is not None:
-            developers.setdefault(rec.app_id, rec.developer)
-    for tx in dataset.transactions:
-        if tx.developer is not None:
-            developers.setdefault(tx.app_id, tx.developer)
+    ctx = _build_ctx(dataset, rules, cfg, processes)
+    developers = dataset.index.first_developers(known_only=True)
 
     out_dir = args.out or args.bundle
     os.makedirs(out_dir, exist_ok=True)
@@ -542,31 +541,24 @@ def cmd_classify(args) -> int:
     cfg = _load_global_config(args)
     try:
         rules = _load_rules(cfg)
+        processes = _load_processes(cfg)
         dataset = load_bundle(args.bundle)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    ctx = _build_ctx(dataset, rules, cfg)
+    ctx = _build_ctx(dataset, rules, cfg, processes)
     platform = dataset.platform.name if dataset.platform else dataset.label
 
-    from .party import esld_of
-
+    # Each (app, eSLD) pair keeps the first developer seen with it.
     pairs = {}
-    for rec in dataset.records:
-        if rec.app_id is None:
-            continue
-        domain = esld_of(rec.fqdn, rules)
-        if domain is not None:
-            pairs.setdefault((rec.app_id, domain), rec.developer)
-    for tx in dataset.transactions:
-        domain = esld_of(tx.fqdn, rules)
-        if domain is not None:
-            pairs.setdefault((tx.app_id, domain), tx.developer)
-
-    rows = []
-    for (app_id, domain), developer in sorted(pairs.items()):
-        label = classify(app_id, developer, domain, ctx)
-        rows.append((platform, app_id, developer or "", domain, label.value))
+    for name, app_id, developer in dataset.index.contacts:
+        domain = ctx.name_to_esld[name]
+        if app_id is not None and domain is not None:
+            pairs.setdefault((app_id, domain), developer)
+    rows = [
+        (platform, app_id, developer or "", domain, classify(app_id, developer, domain, ctx).value)
+        for (app_id, domain), developer in sorted(pairs.items())
+    ]
     os.makedirs(cfg.output_dir, exist_ok=True)
     out_path = os.path.join(cfg.output_dir, "classifications.csv")
     reports.write_classifications(out_path, rows)

@@ -14,8 +14,10 @@ from typing import Iterable, Optional, Sequence
 from . import psl
 from .blocklists import BlockList, MatchMode, blocked_by, is_blocked, union_lists
 from .party import (
+    DEFAULT_STOP_TOKENS,
     ClassificationContext,
     PartyLabel,
+    build_context,
     classify_esld,
     esld_of,
     tokenize,
@@ -52,33 +54,19 @@ def block_rate(
 
 def dataset_eslds(dataset: Dataset, rules: psl.SuffixRules) -> set[str]:
     """Distinct registrable domains across a dataset's destinations."""
-    found = set()
-    for fqdn in dataset.domain_fqdns():
-        domain = esld_of(fqdn, rules)
-        if domain is not None:
-            found.add(domain)
+    found = {esld_of(name, rules) for name in dataset.index.domain_names()}
+    found.discard(None)
     return found
 
 
 def app_penetration(esld_value: str, dataset: Dataset, rules: psl.SuffixRules) -> float:
     """Percentage of the dataset's apps that contact the given eSLD."""
-    apps = dataset.app_ids()
+    apps = dataset.index.apps()
     if not apps:
         raise NoAppAttribution("dataset has no app attribution")
-    contacting = {
-        app
-        for fqdn, app in _attributed_contacts(dataset)
-        if esld_of(fqdn, rules) == esld_value
-    }
+    refs = build_context(dataset, rules).esld_to_apps.get(esld_value, ())
+    contacting = {app for app, _ in refs if app is not None}
     return 100.0 * len(contacting) / len(apps)
-
-
-def _attributed_contacts(dataset: Dataset):
-    for rec in dataset.records:
-        if rec.app_id is not None:
-            yield rec.fqdn, rec.app_id
-    for tx in dataset.transactions:
-        yield tx.fqdn, tx.app_id
 
 
 def fqdn_app_counts(dataset: Dataset) -> dict[str, int]:
@@ -87,12 +75,9 @@ def fqdn_app_counts(dataset: Dataset) -> dict[str, int]:
     Destinations seen only in unattributed traffic (and IP literals) do not
     appear; app-level metrics exclude them.
     """
-    per_fqdn: dict[str, set[str]] = {}
-    domain_names = dataset.domain_fqdns()
-    for fqdn, app in _attributed_contacts(dataset):
-        if fqdn in domain_names:
-            per_fqdn.setdefault(fqdn, set()).add(app)
-    return {fqdn: len(apps) for fqdn, apps in per_fqdn.items()}
+    names = dataset.index.names
+    per_name = dataset.index.apps_per_name()
+    return {name: len(apps) for name, apps in per_name.items() if not names[name][0]}
 
 
 @dataclass(frozen=True)
@@ -141,24 +126,22 @@ class PenetrationRow:
 def penetration_table(
     dataset: Dataset, rules: psl.SuffixRules, ctx: ClassificationContext
 ) -> list[PenetrationRow]:
-    """App penetration and aggregate party for every eSLD in the dataset."""
-    apps = dataset.app_ids()
+    """App penetration and aggregate party for every eSLD in the dataset.
+
+    ctx must come from build_context over the same dataset: its apps per
+    eSLD are the penetration counts.
+    """
+    apps = dataset.index.apps()
     if not apps:
         raise NoAppAttribution("dataset has no app attribution")
-    per_esld: dict[str, set[str]] = {}
-    for fqdn, app in _attributed_contacts(dataset):
-        domain = esld_of(fqdn, rules)
-        if domain is not None:
-            per_esld.setdefault(domain, set()).add(app)
-    rows = [
-        PenetrationRow(
-            esld=domain,
-            app_count=len(contacting),
-            percent=100.0 * len(contacting) / len(apps),
-            party=classify_esld(domain, ctx),
-        )
-        for domain, contacting in per_esld.items()
-    ]
+    rows = []
+    for domain, refs in ctx.esld_to_apps.items():
+        contacting = {app for app, _ in refs if app is not None}
+        if contacting:
+            percent = 100.0 * len(contacting) / len(apps)
+            rows.append(
+                PenetrationRow(domain, len(contacting), percent, classify_esld(domain, ctx))
+            )
     rows.sort(key=lambda r: (-r.app_count, r.esld))
     return rows
 
@@ -204,26 +187,19 @@ def common_app_overlap(
     match). Global totals partition the union of all matched apps'
     destinations into A-only / B-only / both.
     """
-    from .party import DEFAULT_STOP_TOKENS
-
     stops = stop_tokens if stop_tokens is not None else DEFAULT_STOP_TOKENS
 
     def app_index(dataset: Dataset) -> dict[str, tuple[str, Optional[str], set[str]]]:
-        index: dict[str, tuple[str, Optional[str], set[str]]] = {}
         fqdns_per_app: dict[str, set[str]] = {}
-        developer: dict[str, Optional[str]] = {}
-        for rec in dataset.records:
-            if rec.app_id is None:
-                continue
-            fqdns_per_app.setdefault(rec.app_id, set()).add(rec.fqdn)
-            developer.setdefault(rec.app_id, rec.developer)
-        for tx in dataset.transactions:
-            fqdns_per_app.setdefault(tx.app_id, set()).add(tx.fqdn)
-            developer.setdefault(tx.app_id, tx.developer)
+        for name, app_id, _ in dataset.index.contacts:
+            if app_id is not None:
+                fqdns_per_app.setdefault(app_id, set()).add(name)
+        developer = dataset.index.first_developers()
+        index: dict[str, tuple[str, Optional[str], set[str]]] = {}
         for app_id, fqdns in fqdns_per_app.items():
             key = normalize_app_name(app_id, stops)
             if key:
-                index.setdefault(key, (app_id, developer.get(app_id), fqdns))
+                index.setdefault(key, (app_id, developer[app_id], fqdns))
         return index
 
     def dev_tokens(dev: Optional[str]) -> set[str]:

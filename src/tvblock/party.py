@@ -12,6 +12,7 @@ undetermined otherwise.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -86,7 +87,9 @@ class ClassificationContext:
 
     esld_to_apps must cover every domain that will be classified.
     platform_processes lists app_ids whose traffic is platform activity
-    (per-process attribution, where the capture provides it).
+    (per-process attribution, where the capture provides it). name_to_esld
+    holds each distinct name's eSLD (None where it has none), resolved once
+    by build_context.
     """
 
     platform: Platform
@@ -95,12 +98,21 @@ class ClassificationContext:
     platform_processes: frozenset[str] = frozenset()
     stop_tokens: frozenset[str] = DEFAULT_STOP_TOKENS
     min_shared_token_len: int = 3
+    name_to_esld: Mapping[str, Optional[str]] = field(default_factory=dict)
 
+    @functools.cached_property
+    def third_party(self) -> frozenset[str]:
+        """The eSLDs contacted by two or more apps from two or more developers.
 
-def _developer_key(app_id: Optional[str], developer: Optional[str]) -> str:
-    # Unknown developers fall back to the app id: distinct apps without
-    # developer data are presumed independently developed.
-    return developer if developer else (app_id or "")
+        Unknown developers fall back to the app id: distinct apps without
+        developer data are presumed independently developed.
+        """
+        shared = set()
+        for domain, refs in self.esld_to_apps.items():
+            keyed = {(app, dev or app) for app, dev in refs if app is not None}
+            if len({a for a, _ in keyed}) >= 2 and len({k for _, k in keyed}) >= 2:
+                shared.add(domain)
+        return frozenset(shared)
 
 
 def classify(
@@ -132,10 +144,7 @@ def classify(
     if shared:
         return PartyLabel.FIRST_PARTY
 
-    contacts = ctx.esld_to_apps[esld]
-    contact_apps = {a for a, _ in contacts if a is not None}
-    contact_devs = {_developer_key(a, d) for a, d in contacts if a is not None}
-    if len(contact_apps) >= 2 and len(contact_devs) >= 2:
+    if esld in ctx.third_party:
         return PartyLabel.THIRD_PARTY
     return PartyLabel.UNDETERMINED
 
@@ -144,25 +153,12 @@ def classify_esld(esld: str, ctx: ClassificationContext) -> PartyLabel:
     """Aggregate label for a domain across every app that contacted it.
 
     The strongest per-app label wins, so a domain that is first party to
-    one of its apps reports as first party in domain-level tables.
+    one of its apps reports as first party in domain-level tables. A
+    domain with no recorded contact labels as an unattributed one would.
     """
-    if esld not in ctx.esld_to_apps:
-        raise UnknownEsld(esld)
-    labels = {
-        classify(app_id, developer, esld, ctx)
-        for app_id, developer in ctx.esld_to_apps[esld]
-    }
-    if not labels:
-        # Domain seen only in unattributed traffic.
-        return (
-            PartyLabel.PLATFORM
-            if any(marker in esld for marker in ctx.platform_markers)
-            else PartyLabel.UNDETERMINED
-        )
-    for label in _PRECEDENCE:
-        if label in labels:
-            return label
-    return PartyLabel.UNDETERMINED
+    refs = ctx.esld_to_apps.get(esld) or {(None, None)}
+    labels = {classify(app_id, developer, esld, ctx) for app_id, developer in refs}
+    return min(labels, key=_PRECEDENCE.index)
 
 
 def esld_of(fqdn: str, rules: psl.SuffixRules) -> Optional[str]:
@@ -192,27 +188,20 @@ def build_context(
     else:
         markers = frozenset(m.lower() for m in platform_markers)
 
+    names = dataset.index.names
+    name_to_esld = {n: None if is_ip else esld_of(n, rules) for n, (is_ip, _) in names.items()}
     esld_to_apps: dict[str, set[AppRef]] = {}
-    for fqdn, app_id, developer in _contacts(dataset):
-        domain = esld_of(fqdn, rules)
-        if domain is None:
-            continue
-        esld_to_apps.setdefault(domain, set()).add((app_id, developer))
-    frozen = {domain: frozenset(refs) for domain, refs in esld_to_apps.items()}
+    for name, app_id, developer in dataset.index.contacts:
+        if name_to_esld[name] is not None:
+            esld_to_apps.setdefault(name_to_esld[name], set()).add((app_id, developer))
     return ClassificationContext(
         platform=platform,
         platform_markers=markers,
-        esld_to_apps=frozen,
+        esld_to_apps={domain: frozenset(refs) for domain, refs in esld_to_apps.items()},
         platform_processes=frozenset(platform_processes),
         stop_tokens=stop_tokens,
+        name_to_esld=name_to_esld,
     )
-
-
-def _contacts(dataset: Dataset):
-    for rec in dataset.records:
-        yield rec.fqdn, rec.app_id, rec.developer
-    for tx in dataset.transactions:
-        yield tx.fqdn, tx.app_id, tx.developer
 
 
 def load_platform_processes(source: Iterable[str] | str) -> frozenset[str]:

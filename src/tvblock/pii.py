@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import psl
 from .blocklists import BlockList, MatchMode, blocked_by
-from .party import ClassificationContext, PartyLabel, classify
+from .party import ClassificationContext, PartyLabel, classify, esld_of
 from .traffic import HttpTransaction
 
 log = logging.getLogger(__name__)
@@ -378,9 +378,9 @@ def attribute_exposures(
     completed = []
     for rec in records:
         verdict = blocked_by(rec.fqdn, lists, mode)
-        try:
-            domain = psl.esld(rec.fqdn, rules)
-        except psl.PslError:
+        known = rec.fqdn in ctx.name_to_esld
+        domain = ctx.name_to_esld[rec.fqdn] if known else esld_of(rec.fqdn, rules)
+        if domain is None:
             completed.append(
                 dataclasses.replace(
                     rec,

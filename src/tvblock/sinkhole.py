@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import random
 import socket
 import threading
@@ -394,9 +393,3 @@ def serve(cfg: SinkholeConfig, lists: Sequence[BlockList]) -> Sinkhole:
     service.start()
     return service
 
-
-def read_query_log(path: str) -> list[dict]:
-    if not os.path.exists(path):
-        return []
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

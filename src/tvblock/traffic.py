@@ -8,6 +8,7 @@ captures stay loadable.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import json
 from dataclasses import dataclass, field
@@ -346,9 +347,61 @@ def parse_http_log(source: Iterable[str] | str) -> ParsedHttp:
     return ParsedHttp(txs, errors)
 
 
+Contact = tuple[str, Optional[str], Optional[str]]  # (name, app_id, developer)
+
+
+@dataclass(frozen=True)
+class ContactIndex:
+    """Who contacted what in one dataset, each distinct fact held once.
+
+    ``names`` maps each distinct destination name to (is an IP literal,
+    number of flow records); ``contacts`` holds the distinct
+    (name, app_id, developer) triples. Both keep first-seen order, flows
+    before transactions. That order gives the three "first developer"
+    rules, which differ when an app's first contact has no developer:
+
+    - the app overlap takes the first developer seen per app, None
+      included (``first_developers()``);
+    - PII attribution takes the first non-None one
+      (``first_developers(known_only=True)``);
+    - classifications.csv takes the first developer seen per (app, eSLD)
+      pair (``cli.cmd_classify``).
+
+    ``Dataset.index`` builds the index once, on first use; the dataset must
+    not be mutated after that.
+    """
+
+    names: dict[str, tuple[bool, int]]
+    contacts: tuple[Contact, ...]
+
+    def domain_names(self) -> list[str]:
+        """Distinct names that are domain names (IP literals dropped)."""
+        return [name for name, (is_ip, _) in self.names.items() if not is_ip]
+
+    def apps(self) -> set[str]:
+        """Distinct attributed apps."""
+        return {app for _, app, _ in self.contacts if app is not None}
+
+    def apps_per_name(self) -> dict[str, set[str]]:
+        """Distinct attributed apps per name, for names with at least one."""
+        per_name: dict[str, set[str]] = {}
+        for name, app, _ in self.contacts:
+            if app is not None:
+                per_name.setdefault(name, set()).add(app)
+        return per_name
+
+    def first_developers(self, known_only: bool = False) -> dict[str, Optional[str]]:
+        """First developer seen per app; with known_only, the first non-None one."""
+        developers: dict[str, Optional[str]] = {}
+        for _, app, developer in self.contacts:
+            if app is not None and (developer is not None or not known_only):
+                developers.setdefault(app, developer)
+        return developers
+
+
 @dataclass
 class Dataset:
-    """An immutable-by-convention bundle of flows and transactions.
+    """A bundle of flows and transactions, immutable once indexed.
 
     ``platform`` is the declared platform of the capture; when omitted it is
     inferred from the first record.
@@ -366,21 +419,19 @@ class Dataset:
             elif self.transactions:
                 self.platform = self.transactions[0].platform
 
-    def app_ids(self) -> set[str]:
-        """Distinct app identifiers across flows and transactions."""
-        apps = {r.app_id for r in self.records if r.app_id is not None}
-        apps.update(t.app_id for t in self.transactions)
-        return apps
-
-    def fqdns(self) -> set[str]:
-        """Distinct destination names across flows and transactions."""
-        names = {r.fqdn for r in self.records}
-        names.update(t.fqdn for t in self.transactions)
-        return names
-
-    def domain_fqdns(self) -> set[str]:
-        """Distinct destinations that are domain names (IP literals dropped)."""
-        return {f for f in self.fqdns() if not is_ip_literal(f)}
+    @functools.cached_property
+    def index(self) -> ContactIndex:
+        """The dataset's contact index, built on first use."""
+        flows: dict[str, int] = {}
+        contacts: dict[Contact, None] = {}
+        for rec in self.records:
+            flows[rec.fqdn] = flows.get(rec.fqdn, 0) + 1
+            contacts[rec.fqdn, rec.app_id, rec.developer] = None
+        for tx in self.transactions:
+            flows.setdefault(tx.fqdn, 0)
+            contacts[tx.fqdn, tx.app_id, tx.developer] = None
+        names = {name: (is_ip_literal(name), count) for name, count in flows.items()}
+        return ContactIndex(names, tuple(contacts))
 
 
 @dataclass(frozen=True)
@@ -407,17 +458,12 @@ def dataset_summary(ds: Dataset) -> DatasetSummary:
     attribution do not contribute to app-level counts. URI paths are the
     path component (query string stripped) of transactions.
     """
-    apps_per_fqdn: dict[str, set[str]] = {}
-    for rec in ds.records:
-        if rec.app_id is not None:
-            apps_per_fqdn.setdefault(rec.fqdn, set()).add(rec.app_id)
-    for tx in ds.transactions:
-        apps_per_fqdn.setdefault(tx.fqdn, set()).add(tx.app_id)
-    multi = sum(1 for apps in apps_per_fqdn.values() if len(apps) >= 2)
+    index = ds.index
+    multi = sum(1 for apps in index.apps_per_name().values() if len(apps) >= 2)
     paths = {tx.uri.split("?", 1)[0] for tx in ds.transactions}
     return DatasetSummary(
-        app_count=len(ds.app_ids()),
-        distinct_fqdn_count=len(ds.fqdns()),
+        app_count=len(index.apps()),
+        distinct_fqdn_count=len(index.names),
         multi_app_fqdn_count=multi,
         distinct_uri_path_count=len(paths),
     )

@@ -370,3 +370,49 @@ class TestVersion:
         code, stdout, _ = run(capsys, "version")
         assert code == 0
         assert stdout.startswith("tvblock ")
+
+
+def _absolute_corpus_config(**overrides):
+    cfg = json.loads(open(CORPUS_CONFIG).read())
+    base = os.path.dirname(CORPUS_CONFIG)
+    for key in ["psl_path", "pii_spec_path", "org_esld_path", "org_parent_path", "ats_labels_path"]:
+        cfg[key] = os.path.join(base, cfg[key])
+    cfg["lists"] = {
+        name: [os.path.join(base, p) for p in paths] for name, paths in cfg["lists"].items()
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+class TestPlatformProcessFile:
+    @pytest.mark.parametrize(
+        "content", [None, '{"app_id": "x", "is_platform": tru\n'], ids=["missing", "malformed"]
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "scan-pii", "classify"])
+    def test_unreadable_file_exits_2_without_report(
+        self, roku_bundle, tmp_path, capsys, command, content
+    ):
+        processes = tmp_path / "processes.jsonl"
+        if content is not None:
+            processes.write_text(content)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(
+            json.dumps(_absolute_corpus_config(platform_processes_path=str(processes)))
+        )
+        out = tmp_path / "out"
+        before = sorted(os.listdir(roku_bundle))
+        code, stdout, err = run(
+            capsys,
+            command,
+            "--bundle",
+            str(roku_bundle),
+            "--config",
+            str(config_path),
+            "--out",
+            str(out),
+        )
+        assert code == 2
+        assert "platform process file" in err
+        assert stdout == ""
+        assert not out.exists()
+        assert sorted(os.listdir(roku_bundle)) == before

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tvblock import psl
 from tvblock.psl import (
@@ -15,7 +17,9 @@ from tvblock.psl import (
     public_suffix,
 )
 
-from conftest import PSL_VECTORS_PATH
+from tvblock.traffic import normalize_fqdn
+
+from conftest import PSL_PATH, PSL_VECTORS_PATH
 
 VECTOR_RE = re.compile(r"checkPublicSuffix\((null|'([^']*)'),\s*(null|'([^']*)')\)")
 
@@ -135,3 +139,54 @@ class TestOfficialVectors:
                 failures.append((domain, expected, got))
         passed = len(cases) - len(failures)
         assert passed / len(cases) >= 0.95, failures
+
+
+# -- properties ---------------------------------------------------------------
+
+RULES = psl.load_psl_file(PSL_PATH)
+# Every rule of the snapshot as a name suffix, wildcards filled in, so that
+# generated names hit normal, wildcard and exception rules alike.
+SUFFIXES = sorted(
+    ".".join("w" if label == "*" else label for label in rule)
+    for rule in RULES.normal | RULES.wildcard | RULES.exception
+)
+LABEL = st.text(alphabet="abcxyz019-", min_size=1, max_size=6)
+NAMES = st.one_of(
+    st.builds(
+        lambda labels, suffix, upper, dot: (
+            ".".join(labels + [suffix]).upper() if upper else ".".join(labels + [suffix])
+        ) + dot,
+        st.lists(LABEL, max_size=3),
+        st.sampled_from(SUFFIXES + ["madeuptld"]),
+        st.booleans(),
+        st.sampled_from(["", "."]),
+    ),
+    st.sampled_from(["", ".", "..", "a..b.com", " com ", "10.0.0.1", "::1", "[::1]"]),
+    st.text(max_size=20),
+)
+
+
+class TestEsldProperties:
+    @given(NAMES)
+    def test_fails_only_with_psl_errors(self, name):
+        try:
+            esld(name, RULES)
+        except psl.PslError:
+            pass
+
+    @given(NAMES)
+    def test_idempotent_where_it_succeeds(self, name):
+        try:
+            result = esld(name, RULES)
+        except psl.PslError:
+            return
+        assert esld(result, RULES) == result
+
+    @given(NAMES)
+    def test_result_is_dot_boundary_suffix_of_normalized_input(self, name):
+        try:
+            result = esld(name, RULES)
+        except psl.PslError:
+            return
+        normalized = normalize_fqdn(name)
+        assert normalized == result or normalized.endswith("." + result)
