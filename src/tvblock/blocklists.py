@@ -3,6 +3,11 @@
 Blocklists are curated hosts files ("0.0.0.0 domain" / "127.0.0.1 domain")
 or bare-domain files. Entries are stored in a hash set keyed by normalized
 domain so per-query lookups stay O(1) for the sinkhole's latency budget.
+
+Loading is linear in the file with no per-line address parse: the leading
+address column is parsed once per file, and a domain token reaches
+``ipaddress`` only when it could be an address (it ends in a digit or
+holds a colon).
 """
 
 from __future__ import annotations
@@ -83,12 +88,14 @@ def parse_hosts_list(
     collect diagnostics for them.
     """
     domains: set[str] = set()
+    addresses: set[str] = set()  # leading tokens already proven addresses
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if is_ip_literal(tokens[0]):
+        if tokens[0] in addresses or is_ip_literal(tokens[0]):
+            addresses.add(tokens[0])
             tokens = tokens[1:]
         for token in tokens:
             domain = normalize_fqdn(token)

@@ -71,6 +71,24 @@ def write_bundle(out_dir: str, dataset: Dataset) -> None:
         fh.write("\n")
 
 
+def _read_bundle_log(path: str, parse):
+    """Parse one bundle log; a wholly unparsable file is a CliError.
+
+    Skipped lines in an otherwise good file get one warning with their count.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            parsed = parse(fh)
+        except (LogParseError, UnicodeDecodeError) as exc:
+            raise CliError(f"corrupt bundle file {path}: {exc}") from exc
+    if parsed.errors:
+        print(
+            f"warning: {path}: skipped {len(parsed.errors)} unparsable lines",
+            file=sys.stderr,
+        )
+    return parsed
+
+
 def load_bundle(bundle_dir: str) -> Dataset:
     meta_path = os.path.join(bundle_dir, "meta.json")
     flows_path = os.path.join(bundle_dir, "flows.jsonl")
@@ -84,16 +102,11 @@ def load_bundle(bundle_dir: str) -> Dataset:
         label = meta.get("label", label)
         if meta.get("platform"):
             platform = Platform.parse(meta["platform"])
-    with open(flows_path, encoding="utf-8") as fh:
-        records = parse_flow_log(fh).records
+    records = _read_bundle_log(flows_path, parse_flow_log).records
     transactions = []
     http_path = os.path.join(bundle_dir, "http.jsonl")
     if os.path.exists(http_path):
-        with open(http_path, encoding="utf-8") as fh:
-            try:
-                transactions = parse_http_log(fh).transactions
-            except LogParseError:
-                transactions = []
+        transactions = _read_bundle_log(http_path, parse_http_log).transactions
     return Dataset(
         label=label, records=records, transactions=transactions, platform=platform
     )

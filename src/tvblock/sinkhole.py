@@ -127,6 +127,22 @@ def answer_blocked(query: dnswire.Message, cfg: SinkholeConfig) -> bytes:
     return dnswire.build_response(query, rcode=dnswire.RCODE_NOERROR, answers=answers)
 
 
+def _question(data: bytes) -> Optional[bytes]:
+    """The first question (name, type, class) as raw bytes, name lowercased.
+
+    None when the message has no complete, uncompressed first question.
+    """
+    if len(data) < 12 or data[4:6] == b"\0\0":
+        return None
+    pos = 12
+    while pos < len(data) and data[pos]:
+        if data[pos] & 0xC0:
+            return None
+        pos += data[pos] + 1
+    end = pos + 5
+    return data[12:end].lower() if end <= len(data) else None
+
+
 def forward(
     raw_query: bytes,
     upstream: tuple[str, int],
@@ -134,28 +150,35 @@ def forward(
 ) -> Optional[bytes]:
     """Relay a query upstream and return the reply with the client's txid.
 
-    The upstream exchange uses a fresh transaction id; the reply is relayed
-    verbatim apart from restoring the client's id. Returns None on timeout
-    or a malformed/mismatched reply (the caller answers SERVFAIL).
+    The upstream exchange uses a fresh transaction id on a socket connected
+    to the upstream, so datagrams from any other source are dropped. Replies
+    whose txid or question differs from the query's are skipped until the
+    timeout. The accepted reply is relayed verbatim apart from restoring the
+    client's id. Returns None on timeout (the caller answers SERVFAIL).
     """
     client_txid = int.from_bytes(raw_query[:2], "big")
     upstream_txid = random.getrandbits(16)
     request = dnswire.set_txid(raw_query, upstream_txid)
+    question = _question(raw_query)
+    deadline = time.monotonic() + timeout_ms / 1000.0
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        sock.settimeout(timeout_ms / 1000.0)
         try:
-            sock.sendto(request, upstream)
+            sock.connect(upstream)
+            sock.send(request)
             while True:
-                reply, addr = sock.recvfrom(4096)
-                if len(reply) >= 12 and int.from_bytes(reply[:2], "big") == upstream_txid:
-                    break
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                sock.settimeout(remaining)
+                reply = sock.recv(4096)
+                if (
+                    len(reply) >= 12
+                    and int.from_bytes(reply[:2], "big") == upstream_txid
+                    and _question(reply) == question
+                ):
+                    return dnswire.set_txid(reply, client_txid)
         except (socket.timeout, OSError):
             return None
-    try:
-        dnswire.parse_header(reply)
-    except dnswire.WireError:
-        return None
-    return dnswire.set_txid(reply, client_txid)
 
 
 class Sinkhole:
@@ -182,7 +205,13 @@ class Sinkhole:
         self._running = threading.Event()
         self._log_lock = threading.Lock()
         self._log_fh = None
-        self._counters = {"total": 0, "blocked": 0, "forwarded": 0, "upstream_errors": 0}
+        self._counters = {
+            "total": 0,
+            "blocked": 0,
+            "forwarded": 0,
+            "upstream_errors": 0,
+            "log_errors": 0,
+        }
         self._counter_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
@@ -224,7 +253,10 @@ class Sinkhole:
             self._stats_sock = None
         if self._log_fh:
             with self._log_lock:
-                self._log_fh.close()
+                try:
+                    self._log_fh.close()
+                except OSError as exc:
+                    log.warning("query log close failed: %s", exc)
                 self._log_fh = None
 
     @property
@@ -274,7 +306,8 @@ class Sinkhole:
             log.exception("query handling failed")
             return
         # Record before answering: once a client has its response, the
-        # query log already holds the entry.
+        # query log already holds the entry (unless the write failed, which
+        # _record counts; the answer goes out either way).
         self._record(entry)
         sock = self._sock
         if sock is None:
@@ -343,8 +376,22 @@ class Sinkhole:
             line = json.dumps(entry.to_json(), separators=(",", ":"))
             with self._log_lock:
                 if self._log_fh:
-                    self._log_fh.write(line + "\n")
-                    self._log_fh.flush()
+                    try:
+                        self._log_fh.write(line + "\n")
+                        self._log_fh.flush()
+                    except OSError as exc:
+                        self._log_failed(exc)
+
+    def _log_failed(self, exc: OSError) -> None:
+        with self._counter_lock:
+            self._counters["log_errors"] += 1
+            first = self._counters["log_errors"] == 1
+        if first:
+            log.warning(
+                "query log write failed (%s); answering continues, "
+                "further failures are counted as log_errors only",
+                exc,
+            )
 
     # -- stats endpoint --------------------------------------------------
 

@@ -53,7 +53,13 @@ def normalize_fqdn(raw: str) -> str:
 
 
 def is_ip_literal(value: str) -> bool:
-    """True when the string is an IPv4 or IPv6 address, not a domain name."""
+    """True when the string is an IPv4 or IPv6 address, not a domain name.
+
+    Every IPv4 literal ends in an ASCII digit and every IPv6 literal has a
+    colon, so most domain names are answered without ``ipaddress``.
+    """
+    if ":" not in value and not value[-1:].isdigit():
+        return False
     try:
         ipaddress.ip_address(value)
     except ValueError:

@@ -1,8 +1,15 @@
+import glob
+import ipaddress
+import os
 import random
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tvblock.blocklists import (
+    LOOPBACK_NAMES,
     BlockList,
     EmptyList,
     FileUnreadable,
@@ -13,6 +20,9 @@ from tvblock.blocklists import (
     parse_hosts_list,
     union_lists,
 )
+from tvblock.traffic import normalize_fqdn
+
+from conftest import DATA_DIR
 
 
 class TestParseHostsList:
@@ -178,3 +188,82 @@ class TestOracleEquivalence:
             fqdn = _random_domain(rng)
             if is_blocked(fqdn, bl, "exact"):
                 assert is_blocked(fqdn, bl, "suffix")
+
+
+def _is_address(value: str) -> bool:
+    try:
+        ipaddress.ip_address(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _reference_parse(text: str):
+    """parse_hosts_list's contract, with ipaddress asked about every token."""
+    domains, diags = set(), []
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        tokens = raw_line.split("#", 1)[0].split()
+        if tokens and _is_address(tokens[0]):
+            tokens = tokens[1:]
+        for token in tokens:
+            domain = normalize_fqdn(token)
+            if not domain or domain in LOOPBACK_NAMES:
+                continue
+            if _is_address(domain) or not re.fullmatch(r"[a-z0-9_-]+(\.[a-z0-9_-]+)*", domain):
+                diags.append(HostsLineDiagnostic(line_no, token, "not a domain name"))
+            else:
+                domains.add(domain)
+    return domains, diags
+
+
+def _parse(text: str):
+    diags: list[HostsLineDiagnostic] = []
+    return parse_hosts_list(text, diags), diags
+
+
+DOMAINS = (
+    st.lists(st.text("abcxyz0189_-", min_size=1, max_size=8), min_size=1, max_size=4)
+    .map(".".join)
+    .filter(lambda d: d not in LOOPBACK_NAMES and not _is_address(d))
+)
+ADDRESS = st.sampled_from(["0.0.0.0", "127.0.0.1", "::", "::1", "fe80::1%lo"])
+NOISE = st.sampled_from(
+    ["", "   ", "# comment", "  # 0.0.0.0 commented.example", "127.0.0.1 localhost",
+     "::1 localhost ip6-localhost", "0.0.0.0 broadcasthost", "localhost"]
+)
+TOKEN = st.one_of(
+    DOMAINS,
+    ADDRESS,
+    st.sampled_from(["1.2.3.4", "01.2.3.4", "::ffff:1.2.3.4", "bad^host", "Ads.Example.COM.",
+                     "x1.y2", "1.2.3.\u0664", "a:b", "localhost", "#", "9.9.9.9."]),
+    st.text(st.characters(exclude_categories=["Zs", "Cc"]), min_size=1, max_size=12),
+)
+
+
+class TestParseHostsListProperties:
+    @given(st.data(), st.sets(DOMAINS, max_size=15))
+    def test_rendered_entry_set_round_trips(self, data, entries):
+        lines = []
+        for entry in sorted(entries):
+            lines.extend(data.draw(st.lists(NOISE, max_size=2)))
+            name = data.draw(st.sampled_from([entry, entry.upper(), entry + "."]))
+            prefix = data.draw(st.one_of(st.just(""), ADDRESS.map("{} ".format)))
+            comment = data.draw(st.sampled_from(["", "  # note", "\t#x"]))
+            lines.append(prefix + name + comment)
+        diags: list[HostsLineDiagnostic] = []
+        assert parse_hosts_list("\n".join(lines), diags) == entries
+        assert diags == []
+
+    @given(st.lists(st.lists(TOKEN, max_size=4).map(" ".join), max_size=12).map("\n".join))
+    def test_matches_reference_on_arbitrary_lines(self, text):
+        assert _parse(text) == _reference_parse(text)
+
+    @pytest.mark.parametrize(
+        "path", sorted(glob.glob(os.path.join(DATA_DIR, "lists", "*"))), ids=os.path.basename
+    )
+    def test_matches_reference_on_fixture_lists(self, path):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        entries, diags = _parse(text)
+        assert entries
+        assert (entries, diags) == _reference_parse(text)

@@ -416,3 +416,66 @@ class TestPlatformProcessFile:
         assert stdout == ""
         assert not out.exists()
         assert sorted(os.listdir(roku_bundle)) == before
+
+
+class TestCorruptBundle:
+    def test_unparsable_http_log_fails_scan_pii_and_keeps_outputs(
+        self, roku_bundle, capsys
+    ):
+        code, _, _ = run(
+            capsys, "scan-pii", "--bundle", str(roku_bundle), "--config", CORPUS_CONFIG
+        )
+        assert code == 0
+        exposures = (roku_bundle / "exposures.jsonl").read_bytes()
+        redacted = (roku_bundle / "http.redacted.jsonl").read_bytes()
+        assert exposures
+        (roku_bundle / "http.jsonl").write_text("not json\n{\"also\": \"not a tx\"}\n")
+        code, stdout, err = run(
+            capsys, "scan-pii", "--bundle", str(roku_bundle), "--config", CORPUS_CONFIG
+        )
+        assert code == 2
+        assert "http.jsonl" in err
+        assert stdout == ""
+        assert (roku_bundle / "exposures.jsonl").read_bytes() == exposures
+        assert (roku_bundle / "http.redacted.jsonl").read_bytes() == redacted
+
+    @pytest.mark.parametrize("command", ["evaluate", "classify"])
+    def test_unparsable_flow_log_exits_2_without_report(
+        self, roku_bundle, tmp_path, capsys, command
+    ):
+        (roku_bundle / "flows.jsonl").write_text("{broken\n[1, 2]\n")
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys,
+            command,
+            "--bundle",
+            str(roku_bundle),
+            "--config",
+            CORPUS_CONFIG,
+            "--out",
+            str(out),
+        )
+        assert code == 2
+        assert "flows.jsonl" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_some_bad_lines_warn_once_with_count(self, roku_bundle, tmp_path, capsys):
+        flows = roku_bundle / "flows.jsonl"
+        flows.write_text(flows.read_text() + "{broken\nnot json either\n")
+        out = tmp_path / "cls"
+        code, _, err = run(
+            capsys,
+            "classify",
+            "--bundle",
+            str(roku_bundle),
+            "--config",
+            CORPUS_CONFIG,
+            "--out",
+            str(out),
+        )
+        assert code == 0
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "flows.jsonl" in warnings[0] and "skipped 2 " in warnings[0]
+        assert (out / "classifications.csv").exists()

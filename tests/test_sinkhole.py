@@ -1,6 +1,8 @@
 import json
+import os
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -335,3 +337,121 @@ class TestServe:
         bad = make_config(upstream.address, active_lists=("Nope",))
         with pytest.raises(ValueError):
             Sinkhole(bad, [BLOCKED])
+
+
+class SpoofingUpstream:
+    """Answers one query with, in order: a matching-txid reply from another
+    socket, a reply from the upstream with the wrong question, and (unless
+    ``send_real`` is false) the real reply."""
+
+    def __init__(self, send_real=True):
+        self.send_real = send_real
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.sock.bind(("127.0.0.1", 0))
+        self.sock.settimeout(2)
+        self.spoofer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.spoofer.bind(("127.0.0.1", 0))
+        self.thread = threading.Thread(target=self._answer_one, daemon=True)
+        self.thread.start()
+
+    @property
+    def address(self):
+        return self.sock.getsockname()[:2]
+
+    @staticmethod
+    def _reply(txid, qname, address):
+        query = dnswire.parse_message(dnswire.build_query(qname, dnswire.TYPE_A, txid))
+        return dnswire.build_response(
+            query, answers=((dnswire.TYPE_A, 60, dnswire.a_rdata(address)),)
+        )
+
+    def _answer_one(self):
+        try:
+            data, addr = self.sock.recvfrom(4096)
+        except OSError:
+            return
+        query = dnswire.parse_message(data)
+        txid, qname = query.header.txid, query.question.qname
+        self.spoofer.sendto(self._reply(txid, qname, "6.6.6.6"), addr)
+        self.sock.sendto(self._reply(txid, "other.example.net", "7.7.7.7"), addr)
+        if self.send_real:
+            self.sock.sendto(self._reply(txid, qname, "93.184.216.34"), addr)
+
+    def close(self):
+        self.thread.join(timeout=3)
+        self.sock.close()
+        self.spoofer.close()
+
+
+class TestForwardValidation:
+    def test_only_the_upstreams_reply_to_the_question_is_accepted(self):
+        upstream = SpoofingUpstream()
+        try:
+            raw = dnswire.build_query("real.example.org", dnswire.TYPE_A, txid=0x4242)
+            reply = forward(raw, upstream.address, 1000)
+            assert reply is not None
+            msg = dnswire.parse_message(reply)
+            assert msg.header.txid == 0x4242
+            assert msg.question.qname == "real.example.org"
+            assert [a.address for a in msg.answers] == ["93.184.216.34"]
+        finally:
+            upstream.close()
+
+    def test_decoys_alone_end_in_timeout(self):
+        upstream = SpoofingUpstream(send_real=False)
+        try:
+            raw = dnswire.build_query("real.example.org", dnswire.TYPE_A, txid=7)
+            start = time.monotonic()
+            assert forward(raw, upstream.address, 300) is None
+            assert 0.25 <= time.monotonic() - start < 0.35 + 0.05
+        finally:
+            upstream.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestQueryLogFailure:
+    def test_answers_continue_when_log_writes_fail(self):
+        upstream = MockUpstream()
+        cfg = make_config(upstream.address, query_log_path="/dev/full")
+        service = serve(cfg, [BLOCKED])
+        try:
+            msg, _ = dns_ask(service.address, "ads.example.com")
+            assert msg.answers[0].address == "0.0.0.0"
+            msg, _ = dns_ask(service.address, "clean.example.org", txid=0x2222)
+            assert msg.answers[0].address == "93.184.216.34"
+            stats = service.stats()
+            assert stats["total"] == 2
+            assert stats["blocked"] == 1 and stats["forwarded"] == 1
+            assert stats["log_errors"] >= 1
+        finally:
+            service.stop()
+            upstream.close()
+
+    def test_failures_counted_once_each_under_concurrent_queries(self):
+        upstream = MockUpstream()
+        cfg = make_config(upstream.address, query_log_path="/dev/full")
+        service = serve(cfg, [BLOCKED])
+        answered = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def client(worker):
+                for i in range(25):
+                    name = "ads.example.com" if i % 2 else "clean.example.org"
+                    msg, _ = dns_ask(service.address, name, txid=worker * 100 + i)
+                    answered.append(bool(msg.answers))
+
+            threads = [threading.Thread(target=client, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            service.stop()
+            upstream.close()
+        assert len(answered) == 200 and all(answered)
+        stats = service.stats()
+        assert stats["total"] == 200
+        assert stats["log_errors"] == 200

@@ -1,7 +1,10 @@
+import ipaddress
 import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tvblock.traffic import (
     Dataset,
@@ -10,6 +13,7 @@ from tvblock.traffic import (
     LogParseError,
     Platform,
     dataset_summary,
+    is_ip_literal,
     normalize_fqdn,
     parse_flow_log,
     parse_http_log,
@@ -238,3 +242,48 @@ class TestDatasetSummary:
         )
         ds = Dataset(label="x", transactions=[tx, tx2])
         assert dataset_summary(ds).distinct_uri_path_count == 1
+
+
+def _ip_oracle(value: str) -> bool:
+    try:
+        ipaddress.ip_address(value)
+    except ValueError:
+        return False
+    return True
+
+
+IPV4 = st.ip_addresses(v=4).map(str)
+IPV6 = st.ip_addresses(v=6).map(str)
+OCTET = st.integers(0, 255)
+NON_ASCII_DIGIT = st.characters(categories=["Nd"]).filter(lambda c: not c.isascii())
+IP_LIKE = st.one_of(
+    st.text(max_size=40),
+    IPV4,
+    IPV6,
+    st.tuples(IPV6, st.text(max_size=8)).map("%".join),  # scope id
+    IPV4.map("::ffff:{}".format),  # IPv4-mapped
+    st.lists(
+        st.tuples(OCTET, st.integers(1, 3)).map(lambda p: str(p[0]).zfill(p[1])),
+        min_size=4,
+        max_size=4,
+    ).map(".".join),  # leading-zero octets
+    st.tuples(IPV4, NON_ASCII_DIGIT, st.booleans()).map(
+        lambda t: t[0][:-1] + t[1] if t[2] else t[1] + t[0][1:]
+    ),  # a non-ASCII digit at either end
+    st.tuples(
+        st.sampled_from(["0.0.0.0", "::1", "ads9.example.com"]),
+        st.sampled_from(["", ".", " ", "x", "0"]),
+    ).map("".join),
+)
+
+
+class TestIsIpLiteral:
+    @given(IP_LIKE)
+    def test_agrees_with_ipaddress(self, value):
+        assert is_ip_literal(value) == _ip_oracle(value)
+
+    def test_spot_values(self):
+        assert is_ip_literal("0.0.0.0") and is_ip_literal("::1")
+        assert is_ip_literal("fe80::1%eth0") and is_ip_literal("::ffff:1.2.3.4")
+        assert not is_ip_literal("01.2.3.4") and not is_ip_literal("1.2.3.\u0664")
+        assert not is_ip_literal("") and not is_ip_literal("ads.example.com")
