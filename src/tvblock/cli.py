@@ -16,7 +16,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from . import __version__, dnswire, metrics, pii, psl, reports, sinkhole
+from . import __version__, metrics, pii, psl, reports
 from .blocklists import BlockList, build_list, is_blocked
 from .config import GlobalConfig, load_config, load_lists_manifest
 from .party import (
@@ -27,9 +27,14 @@ from .party import (
 )
 from .traffic import (
     Dataset,
+    FlowRecord,
+    HttpTransaction,
     LogParseError,
+    MalformedLine,
     Platform,
     dataset_summary,
+    index_contacts,
+    iter_jsonl,
     parse_flow_log,
     parse_http_log,
 )
@@ -71,25 +76,26 @@ def write_bundle(out_dir: str, dataset: Dataset) -> None:
         fh.write("\n")
 
 
-def _read_bundle_log(path: str, parse):
-    """Parse one bundle log; a wholly unparsable file is a CliError.
+def _read_bundle_log(path: str, build, what: str):
+    """Yield the items of one bundle log; a wholly unparsable file is a CliError.
 
     Skipped lines in an otherwise good file get one warning with their count.
     """
+    errors: list[MalformedLine] = []
     with open(path, encoding="utf-8") as fh:
         try:
-            parsed = parse(fh)
+            yield from iter_jsonl(fh, build, what, errors)
         except (LogParseError, UnicodeDecodeError) as exc:
             raise CliError(f"corrupt bundle file {path}: {exc}") from exc
-    if parsed.errors:
-        print(
-            f"warning: {path}: skipped {len(parsed.errors)} unparsable lines",
-            file=sys.stderr,
-        )
-    return parsed
+    if errors:
+        print(f"warning: {path}: skipped {len(errors)} unparsable lines", file=sys.stderr)
 
 
-def load_bundle(bundle_dir: str) -> Dataset:
+def load_bundle(bundle_dir: str, keep_transactions: bool = False) -> Dataset:
+    """Load a bundle by streaming its logs into the dataset's contact index.
+
+    No flow record is kept; transactions are kept only when asked for.
+    """
     meta_path = os.path.join(bundle_dir, "meta.json")
     flows_path = os.path.join(bundle_dir, "flows.jsonl")
     if not os.path.isdir(bundle_dir) or not os.path.exists(flows_path):
@@ -102,13 +108,19 @@ def load_bundle(bundle_dir: str) -> Dataset:
         label = meta.get("label", label)
         if meta.get("platform"):
             platform = Platform.parse(meta["platform"])
-    records = _read_bundle_log(flows_path, parse_flow_log).records
-    transactions = []
+    records = _read_bundle_log(flows_path, FlowRecord.from_json, "flow records")
     http_path = os.path.join(bundle_dir, "http.jsonl")
+    streamed = ()
     if os.path.exists(http_path):
-        transactions = _read_bundle_log(http_path, parse_http_log).transactions
+        streamed = _read_bundle_log(http_path, HttpTransaction.from_json, "transactions")
+    kept: list[HttpTransaction] = []
+    if keep_transactions:  # keep each transaction as the fold reads it
+        streamed = (kept.append(tx) or tx for tx in streamed)
     return Dataset(
-        label=label, records=records, transactions=transactions, platform=platform
+        label=label,
+        transactions=kept,
+        platform=platform,
+        index=index_contacts(records, streamed),
     )
 
 
@@ -488,7 +500,7 @@ def cmd_scan_pii(args) -> int:
         lists = _build_lists(cfg)
         rules = _load_rules(cfg)
         processes = _load_processes(cfg)
-        dataset = load_bundle(args.bundle)
+        dataset = load_bundle(args.bundle, keep_transactions=True)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -583,6 +595,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from . import sinkhole  # only serve loads the socket and thread code
+
     cfg = _load_global_config(args)
     try:
         lists = _build_lists(cfg)

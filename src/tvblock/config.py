@@ -12,7 +12,56 @@ import os
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .sinkhole import SinkholeConfig
+from .blocklists import MatchMode
+
+BLOCKING_MODES = ("null", "nxdomain")
+
+
+def parse_hostport(value: str, what: str) -> tuple[str, int]:
+    """Split a HOST:PORT setting; ``what`` names it in the ValueError."""
+    host, sep, port = value.rpartition(":")
+    if not sep or not host:
+        raise ValueError(f"{what} must be HOST:PORT, got {value!r}")
+    try:
+        return host, int(port)
+    except ValueError as exc:
+        raise ValueError(f"{what} has a non-numeric port: {value!r}") from exc
+
+
+@dataclass
+class SinkholeConfig:
+    """The ``sinkhole`` section of the config. It lives here, not in
+    ``sinkhole``, so loading a config imports no socket or thread code."""
+
+    listen_address: str = "0.0.0.0:53"
+    upstream_resolver: str = "1.1.1.1:53"
+    active_lists: tuple[str, ...] = ()
+    match_mode: MatchMode = "exact"
+    blocking_mode: str = "null"
+    blocked_ttl: int = 2
+    upstream_timeout_ms: int = 2000
+    query_log_path: Optional[str] = None
+    stats_address: Optional[str] = None
+
+    def validate(self) -> None:
+        if self.blocked_ttl < 0:
+            raise ValueError("blocked_ttl must be >= 0")
+        if not self.active_lists:
+            raise ValueError("at least one active list is required")
+        if self.blocking_mode not in BLOCKING_MODES:
+            raise ValueError(f"blocking_mode must be one of {BLOCKING_MODES}")
+        listen = parse_hostport(self.listen_address, "listen_address")
+        upstream = parse_hostport(self.upstream_resolver, "upstream_resolver")
+        if listen == upstream:
+            raise ValueError("upstream resolver must differ from the listen address")
+
+    @property
+    def listen(self) -> tuple[str, int]:
+        return parse_hostport(self.listen_address, "listen_address")
+
+    @property
+    def upstream(self) -> tuple[str, int]:
+        return parse_hostport(self.upstream_resolver, "upstream_resolver")
 
 
 @dataclass

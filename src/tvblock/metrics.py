@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import psl
-from .blocklists import BlockList, MatchMode, blocked_by, is_blocked, union_lists
+from .blocklists import BlockList, MatchMode, blocked_by, is_blocked
 from .party import (
     DEFAULT_STOP_TOKENS,
     ClassificationContext,
@@ -97,11 +97,11 @@ def popularity_block_curve(
 
     Bucket k holds domains contacted by exactly k apps for k < max_bucket;
     the terminal "max_bucket+" bucket holds the rest. Empty buckets are
-    omitted rather than reported as 0%.
+    omitted rather than reported as 0%. A domain counts as blocked by the
+    union when any list blocks it, which is exact in both match modes.
     """
     if max_bucket < 1:
         raise ValueError("max_bucket must be >= 1")
-    union = union_lists(lists)
     buckets: dict[str, set[str]] = {}
     for fqdn, count in fqdn_app_counts(dataset).items():
         key = str(count) if count < max_bucket else f"{max_bucket}+"
@@ -111,7 +111,8 @@ def popularity_block_curve(
         members = buckets.get(key)
         if not members:
             continue
-        rows.append(CurveRow(key, len(members), block_rate(members, union, mode)))
+        hits = sum(1 for d in members if any(is_blocked(d, bl, mode) for bl in lists))
+        rows.append(CurveRow(key, len(members), 100.0 * hits / len(members)))
     return rows
 
 

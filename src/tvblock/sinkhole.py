@@ -16,62 +16,18 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import dnswire
-from .blocklists import BlockList, MatchMode, blocked_by
+from .blocklists import BlockList, blocked_by
+from .config import SinkholeConfig, parse_hostport
 
 log = logging.getLogger(__name__)
-
-BLOCKING_MODES = ("null", "nxdomain")
 
 
 class BindFailure(OSError):
     pass
-
-
-def _parse_hostport(value: str, what: str) -> tuple[str, int]:
-    host, sep, port = value.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"{what} must be HOST:PORT, got {value!r}")
-    try:
-        return host, int(port)
-    except ValueError as exc:
-        raise ValueError(f"{what} has a non-numeric port: {value!r}") from exc
-
-
-@dataclass
-class SinkholeConfig:
-    listen_address: str = "0.0.0.0:53"
-    upstream_resolver: str = "1.1.1.1:53"
-    active_lists: tuple[str, ...] = ()
-    match_mode: MatchMode = "exact"
-    blocking_mode: str = "null"
-    blocked_ttl: int = 2
-    upstream_timeout_ms: int = 2000
-    query_log_path: Optional[str] = None
-    stats_address: Optional[str] = None
-
-    def validate(self) -> None:
-        if self.blocked_ttl < 0:
-            raise ValueError("blocked_ttl must be >= 0")
-        if not self.active_lists:
-            raise ValueError("at least one active list is required")
-        if self.blocking_mode not in BLOCKING_MODES:
-            raise ValueError(f"blocking_mode must be one of {BLOCKING_MODES}")
-        listen = _parse_hostport(self.listen_address, "listen_address")
-        upstream = _parse_hostport(self.upstream_resolver, "upstream_resolver")
-        if listen == upstream:
-            raise ValueError("upstream resolver must differ from the listen address")
-
-    @property
-    def listen(self) -> tuple[str, int]:
-        return _parse_hostport(self.listen_address, "listen_address")
-
-    @property
-    def upstream(self) -> tuple[str, int]:
-        return _parse_hostport(self.upstream_resolver, "upstream_resolver")
 
 
 @dataclass(frozen=True)
@@ -397,7 +353,7 @@ class Sinkhole:
 
     def _start_stats_listener(self) -> None:
         assert self.cfg.stats_address is not None
-        host, port = _parse_hostport(self.cfg.stats_address, "stats_address")
+        host, port = parse_hostport(self.cfg.stats_address, "stats_address")
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:

@@ -8,7 +8,6 @@ captures stay loadable.
 
 from __future__ import annotations
 
-import functools
 import ipaddress
 import json
 from dataclasses import dataclass, field
@@ -310,9 +309,15 @@ def _optional_int(obj: dict, key: str, default: int) -> int:
     return value
 
 
-def _parse_jsonl(source, build, what: str):
-    items = []
-    errors: list[MalformedLine] = []
+def iter_jsonl(source, build, what: str, errors: list[MalformedLine]) -> Iterator:
+    """Yield ``build(obj)`` for each JSON object line of a JSONL source.
+
+    The one parse loop behind every log reader. Blank lines are ignored;
+    each malformed line is skipped and appended to ``errors``. Once the
+    source is exhausted, LogParseError is raised if it had content but
+    nothing parsed.
+    """
+    parsed = 0
     saw_content = False
     for line_no, line in enumerate(_iter_lines(source), start=1):
         stripped = line.strip()
@@ -328,12 +333,14 @@ def _parse_jsonl(source, build, what: str):
             errors.append(MalformedLine(line_no, "line is not a JSON object"))
             continue
         try:
-            items.append(build(obj))
+            item = build(obj)
         except ValueError as exc:
             errors.append(MalformedLine(line_no, str(exc)))
-    if saw_content and not items:
+            continue
+        parsed += 1
+        yield item
+    if saw_content and not parsed:
         raise LogParseError(f"no {what} parsed from input", errors)
-    return items, errors
 
 
 def parse_flow_log(source: Iterable[str] | str) -> ParsedFlows:
@@ -343,13 +350,15 @@ def parse_flow_log(source: Iterable[str] | str) -> ParsedFlows:
     reported with their line numbers; the call fails (LogParseError) only
     when the input had content but zero records parsed.
     """
-    records, errors = _parse_jsonl(source, FlowRecord.from_json, "flow records")
+    errors: list[MalformedLine] = []
+    records = list(iter_jsonl(source, FlowRecord.from_json, "flow records", errors))
     return ParsedFlows(records, errors)
 
 
 def parse_http_log(source: Iterable[str] | str) -> ParsedHttp:
     """Parse a JSONL HTTP transaction log. Same error contract as flows."""
-    txs, errors = _parse_jsonl(source, HttpTransaction.from_json, "transactions")
+    errors: list[MalformedLine] = []
+    txs = list(iter_jsonl(source, HttpTransaction.from_json, "transactions", errors))
     return ParsedHttp(txs, errors)
 
 
@@ -373,12 +382,17 @@ class ContactIndex:
     - classifications.csv takes the first developer seen per (app, eSLD)
       pair (``cli.cmd_classify``).
 
-    ``Dataset.index`` builds the index once, on first use; the dataset must
-    not be mutated after that.
+    ``uri_path_count`` is the number of distinct transaction URI paths
+    (query string stripped) and ``platform`` the platform of the first
+    record, else of the first transaction. ``index_contacts`` builds the
+    index in one pass over records and transactions, whether they are held
+    in lists or streamed from a bundle's logs.
     """
 
     names: dict[str, tuple[bool, int]]
     contacts: tuple[Contact, ...]
+    uri_path_count: int = 0
+    platform: Optional[Platform] = None
 
     def domain_names(self) -> list[str]:
         """Distinct names that are domain names (IP literals dropped)."""
@@ -405,39 +419,54 @@ class ContactIndex:
         return developers
 
 
+def index_contacts(
+    records: Iterable[FlowRecord], transactions: Iterable[HttpTransaction]
+) -> ContactIndex:
+    """Fold flow records, then transactions, into a ContactIndex.
+
+    Each item is consumed once and not kept, so streams from a log reader
+    are indexed without holding their records.
+    """
+    flows: dict[str, int] = {}
+    contacts: dict[Contact, None] = {}
+    paths: set[str] = set()
+    platform = None
+    for rec in records:
+        platform = platform or rec.platform
+        flows[rec.fqdn] = flows.get(rec.fqdn, 0) + 1
+        contacts[rec.fqdn, rec.app_id, rec.developer] = None
+    for tx in transactions:
+        platform = platform or tx.platform
+        flows.setdefault(tx.fqdn, 0)
+        contacts[tx.fqdn, tx.app_id, tx.developer] = None
+        paths.add(tx.uri.split("?", 1)[0])
+    names = {name: (is_ip_literal(name), count) for name, count in flows.items()}
+    return ContactIndex(names, tuple(contacts), len(paths), platform)
+
+
 @dataclass
 class Dataset:
-    """A bundle of flows and transactions, immutable once indexed.
+    """A bundle of flows and transactions and its contact index.
 
-    ``platform`` is the declared platform of the capture; when omitted it is
-    inferred from the first record.
+    A dataset built from lists is indexed on construction and must not be
+    mutated after that. ``cli.load_bundle`` instead streams a bundle's logs
+    into ``index`` and keeps no records (and transactions only on request),
+    so code that takes a loaded bundle reads ``index``, not the lists.
+    ``platform`` is the declared platform of the capture; when omitted it
+    is the index's (the first record's, else the first transaction's).
     """
 
     label: str
     records: list[FlowRecord] = field(default_factory=list)
     transactions: list[HttpTransaction] = field(default_factory=list)
     platform: Optional[Platform] = None
+    index: Optional[ContactIndex] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.index is None:
+            self.index = index_contacts(self.records, self.transactions)
         if self.platform is None:
-            if self.records:
-                self.platform = self.records[0].platform
-            elif self.transactions:
-                self.platform = self.transactions[0].platform
-
-    @functools.cached_property
-    def index(self) -> ContactIndex:
-        """The dataset's contact index, built on first use."""
-        flows: dict[str, int] = {}
-        contacts: dict[Contact, None] = {}
-        for rec in self.records:
-            flows[rec.fqdn] = flows.get(rec.fqdn, 0) + 1
-            contacts[rec.fqdn, rec.app_id, rec.developer] = None
-        for tx in self.transactions:
-            flows.setdefault(tx.fqdn, 0)
-            contacts[tx.fqdn, tx.app_id, tx.developer] = None
-        names = {name: (is_ip_literal(name), count) for name, count in flows.items()}
-        return ContactIndex(names, tuple(contacts))
+            self.platform = self.index.platform
 
 
 @dataclass(frozen=True)
@@ -466,10 +495,9 @@ def dataset_summary(ds: Dataset) -> DatasetSummary:
     """
     index = ds.index
     multi = sum(1 for apps in index.apps_per_name().values() if len(apps) >= 2)
-    paths = {tx.uri.split("?", 1)[0] for tx in ds.transactions}
     return DatasetSummary(
         app_count=len(index.apps()),
         distinct_fqdn_count=len(index.names),
         multi_app_fqdn_count=multi,
-        distinct_uri_path_count=len(paths),
+        distinct_uri_path_count=index.uri_path_count,
     )

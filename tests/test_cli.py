@@ -15,6 +15,11 @@ from tvblock.cli import main
 from conftest import CORPUS_DIR, CORPUS_CONFIG, PSL_PATH
 
 
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -169,7 +174,7 @@ class TestEvaluate:
         assert "api.ifood.tv" not in ats
 
     def test_flow_weighted_columns_when_enabled(self, roku_bundle, tmp_path, capsys):
-        cfg = json.loads(open(CORPUS_CONFIG).read())
+        cfg = _read_json(CORPUS_CONFIG)
         base = os.path.dirname(CORPUS_CONFIG)
         for key in ["psl_path", "pii_spec_path", "org_esld_path", "org_parent_path", "ats_labels_path"]:
             cfg[key] = os.path.join(base, cfg[key])
@@ -344,6 +349,8 @@ class TestServe:
                 proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 proc.kill()
+                proc.wait()
+            proc.stderr.close()
 
 
 class TestClassify:
@@ -373,7 +380,7 @@ class TestVersion:
 
 
 def _absolute_corpus_config(**overrides):
-    cfg = json.loads(open(CORPUS_CONFIG).read())
+    cfg = _read_json(CORPUS_CONFIG)
     base = os.path.dirname(CORPUS_CONFIG)
     for key in ["psl_path", "pii_spec_path", "org_esld_path", "org_parent_path", "ats_labels_path"]:
         cfg[key] = os.path.join(base, cfg[key])
