@@ -8,6 +8,7 @@ configuration or input error. Flags override config-file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -152,7 +153,7 @@ def _load_global_config(args) -> GlobalConfig:
             raise CliError(f"cannot load lists manifest {args.lists}: {exc}") from exc
     if getattr(args, "mode", None):
         cfg.match_mode = args.mode
-    if getattr(args, "max_bucket", None):
+    if getattr(args, "max_bucket", None) is not None:
         cfg.max_bucket = args.max_bucket
     if getattr(args, "out", None):
         cfg.output_dir = args.out
@@ -166,6 +167,10 @@ def _load_global_config(args) -> GlobalConfig:
         cfg.sinkhole.query_log_path = args.query_log
     if getattr(args, "stats", None):
         cfg.sinkhole.stats_address = args.stats
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     return cfg
 
 
@@ -229,38 +234,24 @@ def cmd_ingest(args) -> int:
             print(f"error: input file not found: {path}", file=sys.stderr)
             return EXIT_CONFIG
 
-    warnings = 0
     try:
         with open(args.flows, encoding="utf-8") as fh:
             flows = parse_flow_log(fh)
     except LogParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    for err in flows.errors:
-        print(f"warning: flows line {err.line_no}: {err.reason}", file=sys.stderr)
-    warnings += len(flows.errors)
 
-    transactions = []
+    transactions, http_errors = [], []
     if args.http:
         with open(args.http, encoding="utf-8") as fh:
             try:
                 parsed = parse_http_log(fh)
-            except LogParseError as exc:
-                parsed = None
-                for err in exc.errors:
-                    print(
-                        f"warning: http line {err.line_no}: {err.reason}",
-                        file=sys.stderr,
-                    )
-                warnings += len(exc.errors)
-            if parsed is not None:
-                transactions = parsed.transactions
-                for err in parsed.errors:
-                    print(
-                        f"warning: http line {err.line_no}: {err.reason}",
-                        file=sys.stderr,
-                    )
-                warnings += len(parsed.errors)
+                transactions, http_errors = parsed.transactions, parsed.errors
+            except LogParseError as exc:  # nothing parsed: warn, keep no transaction
+                http_errors = exc.errors
+    for what, errors in (("flows", flows.errors), ("http", http_errors)):
+        for err in errors:
+            print(f"warning: {what} line {err.line_no}: {err.reason}", file=sys.stderr)
 
     platform = Platform.parse(args.platform) if args.platform else None
     label = args.label or os.path.basename(os.path.normpath(cfg.output_dir))
@@ -270,28 +261,28 @@ def cmd_ingest(args) -> int:
     write_bundle(cfg.output_dir, dataset)
     summary = dataset_summary(dataset)
     print(json.dumps({"label": label, **summary.to_json()}, indent=2))
-    return EXIT_PARTIAL if warnings else EXIT_OK
+    return EXIT_PARTIAL if flows.errors or http_errors else EXIT_OK
 
 
 # -- evaluate ---------------------------------------------------------------
 
 
-def _block_rate_rows(dataset: Dataset, ctx, lists, cfg: GlobalConfig) -> list[dict]:
+def _block_rate_rows(dataset: Dataset, ctx, lists, cfg: GlobalConfig) -> list[tuple]:
+    """Raw block_rates.csv rows, one per list."""
     platform = dataset.platform.name if dataset.platform else dataset.label
     fqdns = dataset.index.domain_names()
     rows = []
     for bl in lists:
-        row = {
-            "platform": platform,
-            "list": bl.name,
-            "fqdn_count": len(fqdns),
-            "esld_count": len(ctx.esld_to_apps),
-            "rate_exact": metrics.block_rate(fqdns, bl, "exact") if fqdns else None,
-            "rate_suffix": metrics.block_rate(fqdns, bl, "suffix") if fqdns else None,
-        }
+        row = (
+            platform,
+            bl.name,
+            len(fqdns),
+            len(ctx.esld_to_apps),
+            metrics.block_rate(fqdns, bl, "exact") if fqdns else None,
+            metrics.block_rate(fqdns, bl, "suffix") if fqdns else None,
+        )
         if cfg.flow_weighted:
-            row["flow_rate_exact"] = _flow_rate(dataset, bl, "exact")
-            row["flow_rate_suffix"] = _flow_rate(dataset, bl, "suffix")
+            row += (_flow_rate(dataset, bl, "exact"), _flow_rate(dataset, bl, "suffix"))
         rows.append(row)
     return rows
 
@@ -305,6 +296,13 @@ def _flow_rate(dataset: Dataset, bl: BlockList, mode) -> Optional[float]:
     return 100.0 * hits / total
 
 
+def _pii_rows(bundle_dir: str, dataset: Dataset, platform: str, notes: list[str]) -> list:
+    exposures = load_bundle_exposures(bundle_dir)
+    if exposures is None:
+        notes.append(f"no exposures.jsonl in {dataset.label}; run scan-pii for PII rows")
+    return metrics.pii_block_table(exposures or [], platform)
+
+
 def cmd_evaluate(args) -> int:
     cfg = _load_global_config(args)
     try:
@@ -316,6 +314,17 @@ def cmd_evaluate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # Summarised first, so dataset_summary's transient per-name maps do not
+    # stack on the table rows at the process's memory peak.
+    summaries = [
+        {
+            "label": ds.label,
+            "platform": ds.platform.name if ds.platform else None,
+            "summary": dataset_summary(ds).to_json(),
+        }
+        for ds in bundles
+    ]
+
     os.makedirs(cfg.output_dir, exist_ok=True)
     failures = []
     notes = [
@@ -323,11 +332,18 @@ def cmd_evaluate(args) -> int:
         "block rates are over distinct domain names; IP-literal destinations are excluded",
     ]
 
-    block_rows: list[dict] = []
-    pen_rows: list[tuple[str, metrics.PenetrationRow]] = []
-    curve_rows: list[tuple[str, metrics.CurveRow]] = []
-    pii_rows: list[metrics.PiiTableRow] = []
-    fn_rows: list[tuple[str, metrics.FnCandidate]] = []
+    # The tables of every bundle, by name; each writer renders one CSV.
+    writers = {
+        "block_rates": functools.partial(
+            reports.write_block_rates, flow_weighted=cfg.flow_weighted
+        ),
+        "penetration": reports.write_penetration,
+        "popularity_curve": reports.write_popularity_curve,
+        "pii_table": reports.write_pii_table,
+        "fn_candidates": reports.write_fn_candidates,
+    }
+    rows: dict[str, list] = {name: [] for name in writers}
+    keywords = tuple(cfg.keywords) if cfg.keywords else metrics.DEFAULT_KEYWORDS
 
     for bundle_dir, dataset in zip(args.bundle, bundles):
         platform = dataset.platform.name if dataset.platform else dataset.label
@@ -336,46 +352,32 @@ def cmd_evaluate(args) -> int:
         except Exception as exc:
             failures.append(f"context[{dataset.label}]: {exc}")
             continue
-        try:
-            block_rows.extend(_block_rate_rows(dataset, ctx, lists, cfg))
-        except Exception as exc:
-            failures.append(f"block_rates[{dataset.label}]: {exc}")
-        try:
-            pen_rows.extend(
+        compute = {  # this bundle's rows of each table, computed just below
+            "block_rates": lambda: _block_rate_rows(dataset, ctx, lists, cfg),
+            "penetration": lambda: [
                 (platform, row) for row in metrics.penetration_table(dataset, rules, ctx)
-            )
-        except metrics.NoAppAttribution:
-            notes.append(f"penetration omitted for {dataset.label}: no app attribution")
-        except Exception as exc:
-            failures.append(f"penetration[{dataset.label}]: {exc}")
-        try:
-            curve_rows.extend(
+            ],
+            "popularity_curve": lambda: [
                 (platform, row)
                 for row in metrics.popularity_block_curve(
                     dataset, lists, cfg.max_bucket, cfg.match_mode
                 )
-            )
-        except Exception as exc:
-            failures.append(f"popularity_curve[{dataset.label}]: {exc}")
-        try:
-            exposures = load_bundle_exposures(bundle_dir)
-            pii_rows.extend(metrics.pii_block_table(exposures or [], platform))
-            if exposures is None:
-                notes.append(
-                    f"no exposures.jsonl in {dataset.label}; run scan-pii for PII rows"
-                )
-        except Exception as exc:
-            failures.append(f"pii_table[{dataset.label}]: {exc}")
-        try:
-            keywords = tuple(cfg.keywords) if cfg.keywords else metrics.DEFAULT_KEYWORDS
-            fn_rows.extend(
+            ],
+            "pii_table": lambda: _pii_rows(bundle_dir, dataset, platform, notes),
+            "fn_candidates": lambda: [
                 (platform, row)
                 for row in metrics.keyword_fn_candidates(
                     dataset.index.domain_names(), lists, keywords, cfg.match_mode
                 )
-            )
-        except Exception as exc:
-            failures.append(f"fn_candidates[{dataset.label}]: {exc}")
+            ],
+        }
+        for name, bundle_rows in compute.items():
+            try:
+                rows[name].extend(bundle_rows())
+            except metrics.NoAppAttribution:
+                notes.append(f"{name} omitted for {dataset.label}: no app attribution")
+            except Exception as exc:
+                failures.append(f"{name}[{dataset.label}]: {exc}")
 
     organizations = None
     if cfg.org_esld_path and cfg.org_parent_path:
@@ -384,7 +386,7 @@ def cmd_evaluate(args) -> int:
                 cfg.org_parent_path, encoding="utf-8"
             ) as pf:
                 org_map = metrics.load_org_map(ef, pf)
-            eslds = sorted({r.esld for _, r in pen_rows})
+            eslds = sorted({r.esld for _, r in rows["penetration"]})
             organizations = {e: metrics.resolve_org(e, org_map) for e in eslds}
         except (OSError, ValueError) as exc:
             failures.append(f"organizations: {exc}")
@@ -415,72 +417,24 @@ def cmd_evaluate(args) -> int:
         notes.append("overlap.csv omitted: needs exactly two bundles")
 
     out = cfg.output_dir
-    reports.write_block_rates(
-        os.path.join(out, "block_rates.csv"), block_rows, flow_weighted=cfg.flow_weighted
-    )
-    reports.write_penetration(os.path.join(out, "penetration.csv"), pen_rows)
-    reports.write_popularity_curve(os.path.join(out, "popularity_curve.csv"), curve_rows)
-    reports.write_pii_table(os.path.join(out, "pii_table.csv"), pii_rows)
-    reports.write_fn_candidates(os.path.join(out, "fn_candidates.csv"), fn_rows)
+    generated_at = reports._now_iso()  # one timestamp for every file of the run
+    sections = {
+        name: write(os.path.join(out, f"{name}.csv"), rows[name], generated_at).to_json()
+        for name, write in writers.items()
+    }
     if overlap is not None:
-        reports.write_overlap(os.path.join(out, "overlap.csv"), overlap)
+        reports.write_overlap(os.path.join(out, "overlap.csv"), overlap, generated_at)
 
     document = {
-        "bundles": [
-            {
-                "label": ds.label,
-                "platform": ds.platform.name if ds.platform else None,
-                "summary": dataset_summary(ds).to_json(),
-            }
-            for ds in bundles
-        ],
+        "bundles": summaries,
         "notes": notes,
         "failures": failures,
-        "block_rates": block_rows,
-        "penetration": [
-            {
-                "platform": platform,
-                "esld": r.esld,
-                "app_count": r.app_count,
-                "percent": r.percent,
-                "party": r.party.value,
-            }
-            for platform, r in pen_rows
-        ],
-        "popularity_curve": [
-            {
-                "platform": platform,
-                "bucket": r.bucket,
-                "domain_count": r.domain_count,
-                "rate": r.rate,
-            }
-            for platform, r in curve_rows
-        ],
-        "pii_table": [
-            {
-                "platform": r.platform,
-                "pii_kind": r.kind.value,
-                "first_party": r.cells[0],
-                "third_party": r.cells[1],
-                "platform_party": r.cells[2],
-                "total": r.cells[3],
-            }
-            for r in pii_rows
-        ],
-        "fn_candidates": [
-            {
-                "platform": platform,
-                "fqdn": r.fqdn,
-                "matched_keyword": r.matched_keyword,
-                "blocked_by": sorted(r.blocked_by),
-            }
-            for platform, r in fn_rows
-        ],
-        "overlap": reports.overlap_to_json(overlap) if overlap else None,
+        **sections,
+        "overlap": reports.overlap_to_json(overlap) if overlap is not None else None,
         "organizations": organizations,
         "ats_labeled": ats_labeled,
     }
-    reports.write_report_json(os.path.join(out, "report.json"), document)
+    reports.write_report_json(os.path.join(out, "report.json"), document, generated_at)
 
     for failure in failures:
         print(f"table failed: {failure}", file=sys.stderr)

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .blocklists import MatchMode
+from .blocklists import MATCH_MODES, MatchMode
 
 BLOCKING_MODES = ("null", "nxdomain")
 
@@ -69,7 +69,7 @@ class GlobalConfig:
     psl_path: Optional[str] = None
     psl_icann_only: bool = False
     lists: dict[str, list[str]] = field(default_factory=dict)
-    match_mode: str = "exact"
+    match_mode: MatchMode = "exact"
     platform_markers: dict[str, list[str]] = field(default_factory=dict)
     stop_tokens: Optional[list[str]] = None
     pii_spec_path: Optional[str] = None
@@ -82,6 +82,12 @@ class GlobalConfig:
     flow_weighted: bool = False
     output_dir: str = "out"
     sinkhole: SinkholeConfig = field(default_factory=SinkholeConfig)
+
+    def validate(self) -> None:
+        if self.match_mode not in MATCH_MODES:
+            raise ValueError(f"match_mode must be one of {MATCH_MODES}, got {self.match_mode!r}")
+        if self.max_bucket < 1:
+            raise ValueError(f"max_bucket must be >= 1, got {self.max_bucket}")
 
 
 def load_config(path: str) -> GlobalConfig:

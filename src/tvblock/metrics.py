@@ -1,15 +1,15 @@
 """Evaluation metrics over datasets, blocklists, classifications, exposures.
 
 Block rates are computed over distinct domains, not flows. All functions
-are pure batch computations over immutable inputs; the CLI layer turns
-their row lists into CSV and JSON reports.
+are pure batch computations over immutable inputs. The row types are
+NamedTuples; ``reports`` renders their rows as CSV and JSON tables.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import psl
 from .blocklists import BlockList, MatchMode, blocked_by, is_blocked
@@ -80,8 +80,7 @@ def fqdn_app_counts(dataset: Dataset) -> dict[str, int]:
     return {name: len(apps) for name, apps in per_name.items() if not names[name][0]}
 
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(NamedTuple):
     bucket: str
     domain_count: int
     rate: float
@@ -116,8 +115,7 @@ def popularity_block_curve(
     return rows
 
 
-@dataclass(frozen=True)
-class PenetrationRow:
+class PenetrationRow(NamedTuple):
     esld: str
     app_count: int
     percent: float
@@ -156,8 +154,7 @@ def normalize_app_name(name: str, stop_tokens) -> str:
     return "".join(tokenize(name, stop_tokens))
 
 
-@dataclass(frozen=True)
-class AppOverlap:
+class AppOverlap(NamedTuple):
     app_a: str
     app_b: str
     developer: str
@@ -240,8 +237,7 @@ def common_app_overlap(
 # -- PII table ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiiTableRow:
+class PiiTableRow(NamedTuple):
     platform: str
     kind: PiiKind
     cells: tuple[tuple[int, Optional[float]], ...]
@@ -283,8 +279,7 @@ def _pii_cell(members: Sequence[ExposureRecord]) -> tuple[int, Optional[float]]:
 # -- keyword false-negative search ---------------------------------------
 
 
-@dataclass(frozen=True)
-class FnCandidate:
+class FnCandidate(NamedTuple):
     fqdn: str
     matched_keyword: str
     blocked_by: frozenset[str]

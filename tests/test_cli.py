@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from tvblock import dnswire
+from tvblock import dnswire, reports
 from tvblock.cli import main
 
 from conftest import CORPUS_DIR, CORPUS_CONFIG, PSL_PATH
@@ -486,3 +487,263 @@ class TestCorruptBundle:
         assert len(warnings) == 1
         assert "flows.jsonl" in warnings[0] and "skipped 2 " in warnings[0]
         assert (out / "classifications.csv").exists()
+
+
+def _ingest(capsys, out, platform, label):
+    code, _, _ = run(
+        capsys,
+        "ingest",
+        "--flows",
+        os.path.join(CORPUS_DIR, f"{platform}_flows.jsonl"),
+        "--http",
+        os.path.join(CORPUS_DIR, f"{platform}_http.jsonl"),
+        "--label",
+        label,
+        "--platform",
+        platform,
+        "--out",
+        str(out),
+    )
+    assert code == 0
+    return out
+
+
+def _evaluate_corpus(capsys, work):
+    """Ingest and scan both corpus bundles, evaluate them together; return the
+    report directory and the exit code."""
+    bundles = []
+    for platform, label in (("roku", "Roku"), ("firetv", "FireTV")):
+        bundle = _ingest(capsys, work / platform, platform, label)
+        code, _, _ = run(
+            capsys, "scan-pii", "--bundle", str(bundle), "--config", CORPUS_CONFIG
+        )
+        assert code == 0
+        bundles += ["--bundle", str(bundle)]
+    out = work / "report"
+    code, _, _ = run(
+        capsys, "evaluate", *bundles, "--config", CORPUS_CONFIG, "--out", str(out)
+    )
+    return out, code
+
+
+def _csv_table(path):
+    """(generated_at line, header, body rows) of a report CSV."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        first = fh.readline()
+        rows = list(csv.reader(fh))
+    return first, rows[0], rows[1:]
+
+
+def _render(value):
+    """A report.json cell as its CSV text."""
+    if value is None or isinstance(value, float):
+        return reports.fmt_pct(value)
+    if isinstance(value, list):
+        return ";".join(value)
+    return str(value)
+
+
+class TestReportJson:
+    TABLES = ["block_rates", "penetration", "popularity_curve", "fn_candidates"]
+    PARTIES = ["first_party", "third_party", "platform_party", "total"]
+
+    def test_sections_carry_the_csv_rows(self, tmp_path, capsys):
+        out, code = _evaluate_corpus(capsys, tmp_path)
+        assert code == 0
+        report = _read_json(out / "report.json")
+        assert list(report) == [
+            "generated_at",
+            "bundles",
+            "notes",
+            "failures",
+            *self.TABLES[:3],
+            "pii_table",
+            "fn_candidates",
+            "overlap",
+            "organizations",
+            "ats_labeled",
+        ]
+        for name in self.TABLES:
+            _, header, body = _csv_table(out / f"{name}.csv")
+            assert body, name
+            assert all(list(row) == header for row in report[name]), name
+            assert [[_render(v) for v in row.values()] for row in report[name]] == body
+
+        _, header, body = _csv_table(out / "pii_table.csv")
+        assert header[2:] == [
+            f"{party}_{part}" for party in self.PARTIES for part in ("count", "pct_blocked")
+        ]
+        rendered = []
+        for row in report["pii_table"]:
+            assert list(row) == ["platform", "pii_kind", *self.PARTIES]
+            cells = [row["platform"], row["pii_kind"]]
+            for party in self.PARTIES:
+                assert isinstance(row[party], list) and len(row[party]) == 2
+                cells += [str(row[party][0]), reports.fmt_pct(row[party][1])]
+            rendered.append(cells)
+        assert rendered == body
+        assert any(row["total"][1] is not None for row in report["pii_table"])
+
+        _, header, body = _csv_table(out / "overlap.csv")
+        overlap = report["overlap"]
+        assert list(overlap) == ["common_app_count", "apps", "totals"]
+        assert overlap["common_app_count"] == len(overlap["apps"]) == len(body) - 1 > 0
+        assert [[_render(v) for v in app.values()] for app in overlap["apps"]] == body[:-1]
+        totals = overlap["totals"]
+        assert list(totals) == ["only_a", "only_b", "both"]
+        assert body[-1] == ["TOTAL", "", "", *(str(totals[k]) for k in totals)]
+
+    def test_one_timestamp_covers_the_run(self, tmp_path, capsys, monkeypatch):
+        stamps = iter(range(1000))
+        monkeypatch.setattr(reports, "_now_iso", lambda: f"T{next(stamps)}")
+        out, code = _evaluate_corpus(capsys, tmp_path)
+        assert code == 0
+        seen = {_read_json(out / "report.json")["generated_at"]}
+        for name in [*self.TABLES, "pii_table", "overlap"]:
+            first, _, _ = _csv_table(out / f"{name}.csv")
+            seen.add(first.strip().removeprefix("# generated_at="))
+        assert len(seen) == 1
+
+
+class TestIngestHttpWarnings:
+    GOOD = (
+        '{"app_id":"a","platform":"Roku","fqdn":"x.com","method":"GET","uri":"/",'
+        '"headers":[],"timestamp":0}'
+    )
+    FLOWS = '{"device_id":"d","platform":"Roku","app_id":"a","fqdn":"x.com","start_time":0}\n'
+
+    def _ingest_http(self, tmp_path, capsys, http_text):
+        flows = tmp_path / "flows.jsonl"
+        flows.write_text(self.FLOWS)
+        http = tmp_path / "http.jsonl"
+        http.write_text(http_text)
+        out = tmp_path / "b"
+        code, _, err = run(
+            capsys, "ingest", "--flows", str(flows), "--http", str(http), "--out", str(out)
+        )
+        return code, err, out
+
+    def test_partly_bad_log_warns_per_line(self, tmp_path, capsys):
+        code, err, out = self._ingest_http(
+            tmp_path, capsys, self.GOOD + "\nnot json\n\n[1]\n{}\n"
+        )
+        assert code == 1
+        assert err.splitlines() == [
+            "warning: http line 2: invalid JSON: Expecting value",
+            "warning: http line 4: line is not a JSON object",
+            "warning: http line 5: missing field 'app_id'",
+        ]
+        assert len((out / "http.jsonl").read_text().splitlines()) == 1
+
+    def test_wholly_bad_log_warns_and_keeps_no_transaction(self, tmp_path, capsys):
+        code, err, out = self._ingest_http(tmp_path, capsys, "not json\n{}\n")
+        assert code == 1
+        assert err.splitlines() == [
+            "warning: http line 1: invalid JSON: Expecting value",
+            "warning: http line 2: missing field 'app_id'",
+        ]
+        assert (out / "http.jsonl").read_text() == ""
+
+
+class TestConfigValidation:
+    """A bad match_mode or max_bucket is a configuration error (exit 2),
+    reported before any command writes output."""
+
+    def _config(self, tmp_path, **overrides):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_absolute_corpus_config(**overrides)))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["evaluate", "classify"])
+    def test_bad_match_mode_exits_2_without_report(
+        self, roku_bundle, tmp_path, capsys, command
+    ):
+        config = self._config(tmp_path, match_mode="sufix")
+        out = tmp_path / "out"
+        before = sorted(os.listdir(roku_bundle))
+        code, stdout, err = run(
+            capsys, command, "--bundle", str(roku_bundle), "--config", config, "--out", str(out)
+        )
+        assert code == 2
+        assert "match_mode" in err and "table failed" not in err
+        assert stdout == ""
+        assert not out.exists()
+        assert sorted(os.listdir(roku_bundle)) == before
+
+    def test_bad_match_mode_keeps_scan_pii_outputs(self, roku_bundle, tmp_path, capsys):
+        code, _, _ = run(
+            capsys, "scan-pii", "--bundle", str(roku_bundle), "--config", CORPUS_CONFIG
+        )
+        assert code == 0
+        exposures = (roku_bundle / "exposures.jsonl").read_bytes()
+        redacted = (roku_bundle / "http.redacted.jsonl").read_bytes()
+        config = self._config(tmp_path, match_mode="sufix")
+        code, stdout, err = run(
+            capsys, "scan-pii", "--bundle", str(roku_bundle), "--config", config
+        )
+        assert code == 2
+        assert "match_mode" in err
+        assert stdout == ""
+        assert (roku_bundle / "exposures.jsonl").read_bytes() == exposures
+        assert (roku_bundle / "http.redacted.jsonl").read_bytes() == redacted
+
+    def test_bad_match_mode_fails_ingest(self, tmp_path, capsys):
+        config = self._config(tmp_path, match_mode="sufix")
+        out = tmp_path / "b"
+        code, stdout, err = run(
+            capsys,
+            "ingest",
+            "--flows",
+            os.path.join(CORPUS_DIR, "roku_flows.jsonl"),
+            "--config",
+            config,
+            "--out",
+            str(out),
+        )
+        assert code == 2
+        assert "match_mode" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_bad_match_mode_fails_serve_before_binding(self, tmp_path):
+        config = self._config(tmp_path, match_mode="sufix")
+        query_log = tmp_path / "queries.jsonl"
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "tvblock.cli", "serve", "--config", config,
+                "--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:59999",
+                "--query-log", str(query_log),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert done.returncode == 2
+        assert "match_mode" in done.stderr
+        assert "serving" not in done.stderr
+        assert not query_log.exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_max_bucket_below_one_exits_2(self, roku_bundle, tmp_path, capsys, where):
+        if where == "flag":
+            argv = ["--config", CORPUS_CONFIG, "--max-bucket", "0"]
+        else:
+            argv = ["--config", self._config(tmp_path, max_bucket=0)]
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, "evaluate", "--bundle", str(roku_bundle), *argv, "--out", str(out)
+        )
+        assert code == 2
+        assert "max_bucket" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_max_bucket_flag_overrides_config(self, roku_bundle, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "evaluate", "--bundle", str(roku_bundle), "--config", CORPUS_CONFIG,
+            "--max-bucket", "1", "--out", str(out),
+        )
+        assert code == 0
+        _, _, body = _csv_table(out / "popularity_curve.csv")
+        assert [row[1] for row in body] == ["1+"]
