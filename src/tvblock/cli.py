@@ -234,21 +234,25 @@ def cmd_ingest(args) -> int:
             print(f"error: input file not found: {path}", file=sys.stderr)
             return EXIT_CONFIG
 
+    path = args.flows
     try:
-        with open(args.flows, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             flows = parse_flow_log(fh)
+        transactions, http_errors = [], []
+        if args.http:
+            path = args.http
+            with open(path, encoding="utf-8") as fh:
+                try:
+                    parsed = parse_http_log(fh)
+                    transactions, http_errors = parsed.transactions, parsed.errors
+                except LogParseError as exc:  # nothing parsed: warn, keep no transaction
+                    http_errors = exc.errors
     except LogParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    transactions, http_errors = [], []
-    if args.http:
-        with open(args.http, encoding="utf-8") as fh:
-            try:
-                parsed = parse_http_log(fh)
-                transactions, http_errors = parsed.transactions, parsed.errors
-            except LogParseError as exc:  # nothing parsed: warn, keep no transaction
-                http_errors = exc.errors
+    except UnicodeDecodeError as exc:
+        print(f"error: {path} is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for what, errors in (("flows", flows.errors), ("http", http_errors)):
         for err in errors:
             print(f"warning: {what} line {err.line_no}: {err.reason}", file=sys.stderr)

@@ -3,8 +3,13 @@
 Blocked names answer 0.0.0.0 (A) / :: (AAAA) with a short TTL, or NXDOMAIN
 when configured; everything else is relayed to the upstream resolver. Every
 query produces one append-only JSONL log entry. The active blocklists are
-an immutable snapshot swapped atomically on reload, so in-flight queries
-finish under the list they started with.
+an immutable snapshot swapped atomically on reload; each query is decided
+under the snapshot current when it is read.
+
+One thread serves DNS from one ``selectors`` loop over the listen socket and
+one UDP socket connected to the upstream. A forwarded query waits in a table
+keyed by its upstream transaction id until its reply or its deadline. The
+table holds at most MAX_PENDING queries; one more is shed: SERVFAIL at once.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from __future__ import annotations
 import json
 import logging
 import random
+import selectors
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections import OrderedDict
 from typing import Optional, Sequence
 
 from . import dnswire
@@ -25,33 +30,13 @@ from .config import SinkholeConfig, parse_hostport
 
 log = logging.getLogger(__name__)
 
+MAX_PENDING = 4096  # forwarded queries awaiting the upstream; more are shed
+_BATCH = 64  # datagrams read from one socket per wake-up, so neither starves
+_POLL_S = 0.25  # longest select() wait, so stop() is noticed
+
 
 class BindFailure(OSError):
     pass
-
-
-@dataclass(frozen=True)
-class QueryLogEntry:
-    timestamp: int
-    client: str
-    qname: str
-    qtype: str
-    verdict: str  # "blocked" | "forwarded" | "upstream_error"
-    latency_us: int
-    blocked_by: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        obj = {
-            "timestamp": self.timestamp,
-            "client": self.client,
-            "qname": self.qname,
-            "qtype": self.qtype,
-            "verdict": self.verdict,
-            "latency_us": self.latency_us,
-        }
-        if self.verdict == "blocked":
-            obj["blocked_by"] = sorted(self.blocked_by)
-        return obj
 
 
 def decide(
@@ -99,6 +84,11 @@ def _question(data: bytes) -> Optional[bytes]:
     return data[12:end].lower() if end <= len(data) else None
 
 
+def _is_reply(reply: bytes, txid: int, question: Optional[bytes]) -> bool:
+    """Whether ``reply`` answers the upstream query with this txid and question."""
+    return len(reply) >= 12 and reply[:2] == txid.to_bytes(2, "big") and _question(reply) == question
+
+
 def forward(
     raw_query: bytes,
     upstream: tuple[str, int],
@@ -108,9 +98,9 @@ def forward(
 
     The upstream exchange uses a fresh transaction id on a socket connected
     to the upstream, so datagrams from any other source are dropped. Replies
-    whose txid or question differs from the query's are skipped until the
-    timeout. The accepted reply is relayed verbatim apart from restoring the
-    client's id. Returns None on timeout (the caller answers SERVFAIL).
+    that fail ``_is_reply`` are skipped until the timeout. The accepted reply
+    is relayed verbatim apart from restoring the client's id. Returns None on
+    timeout. Blocking, one socket per call: the service's loop does not use it.
     """
     client_txid = int.from_bytes(raw_query[:2], "big")
     upstream_txid = random.getrandbits(16)
@@ -127,21 +117,36 @@ def forward(
                     return None
                 sock.settimeout(remaining)
                 reply = sock.recv(4096)
-                if (
-                    len(reply) >= 12
-                    and int.from_bytes(reply[:2], "big") == upstream_txid
-                    and _question(reply) == question
-                ):
+                if _is_reply(reply, upstream_txid, question):
                     return dnswire.set_txid(reply, client_txid)
         except (socket.timeout, OSError):
             return None
 
 
+def _open(kind: int, address: tuple[str, int], what: str, connect: bool = False) -> socket.socket:
+    """A socket bound (or, for the upstream, connected) to ``address``."""
+    sock = socket.socket(socket.AF_INET, kind)
+    try:
+        if kind == socket.SOCK_STREAM:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        (sock.connect if connect else sock.bind)(address)
+    except OSError as exc:
+        sock.close()
+        verb = "connect to" if connect else "bind"
+        raise BindFailure(f"cannot {verb} {what}: {exc.strerror or exc}") from exc
+    if kind == socket.SOCK_DGRAM:
+        sock.setblocking(False)  # the event loop's sockets never block
+    return sock
+
+
 class Sinkhole:
     """UDP DNS sinkhole service.
 
-    start() binds and serves on background threads; stop() shuts down.
-    set_lists() swaps the active blocklist snapshot atomically.
+    start() opens every socket and the log, then starts the event-loop thread
+    (and the stats endpoint's accept thread). stop() stops reading queries,
+    lets in-flight forwards end, then closes all. set_lists() swaps the active
+    blocklist snapshot atomically. Only the loop thread writes the counters,
+    the pending table and the log, so nothing is locked.
     """
 
     def __init__(self, cfg: SinkholeConfig, lists: Sequence[BlockList]):
@@ -155,65 +160,70 @@ class Sinkhole:
             known[n] for n in cfg.active_lists
         )
         self._sock: Optional[socket.socket] = None
+        self._upstream: Optional[socket.socket] = None
         self._stats_sock: Optional[socket.socket] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
+        self._log_fh = None
         self._threads: list[threading.Thread] = []
         self._running = threading.Event()
-        self._log_lock = threading.Lock()
-        self._log_fh = None
+        # upstream txid -> (deadline_ns, raw query, question, client address, started_ns,
+        # qname, qtype). With one timeout for all, insertion order is deadline order.
+        # OrderedDict: finding a plain dict's first key slows as entries are deleted.
+        self._pending: OrderedDict[int, tuple] = OrderedDict()
         self._counters = {
             "total": 0,
             "blocked": 0,
             "forwarded": 0,
             "upstream_errors": 0,
             "log_errors": 0,
+            "shed": 0,
         }
-        self._counter_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> None:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
-            sock.bind(self.cfg.listen)
-        except OSError as exc:
-            sock.close()
-            raise BindFailure(
-                f"cannot bind {self.cfg.listen_address}: {exc.strerror or exc}"
-            ) from exc
-        sock.settimeout(0.25)
-        self._sock = sock
-        if self.cfg.query_log_path:
-            self._log_fh = open(self.cfg.query_log_path, "a", encoding="utf-8")
-        self._executor = ThreadPoolExecutor(max_workers=16)
+            self._sock = _open(socket.SOCK_DGRAM, self.cfg.listen, self.cfg.listen_address)
+            upstream = self.cfg.upstream_resolver
+            self._upstream = _open(socket.SOCK_DGRAM, self.cfg.upstream, upstream, connect=True)
+            if self.cfg.stats_address:
+                address = parse_hostport(self.cfg.stats_address, "stats_address")
+                self._stats_sock = _open(socket.SOCK_STREAM, address, "stats endpoint")
+                self._stats_sock.listen(4)
+                self._stats_sock.settimeout(_POLL_S)
+            if self.cfg.query_log_path:
+                self._log_fh = open(self.cfg.query_log_path, "a", encoding="utf-8")
+        except BaseException:
+            self._close()
+            raise
         self._running.set()
-        recv_thread = threading.Thread(target=self._recv_loop, daemon=True)
-        recv_thread.start()
-        self._threads.append(recv_thread)
-        if self.cfg.stats_address:
-            self._start_stats_listener()
+        self._spawn("tvblock-dns", self._serve)
+        if self._stats_sock:
+            self._spawn("tvblock-stats", self._stats_loop)
         log.info("sinkhole listening on %s", self.address)
+
+    def _spawn(self, name: str, target) -> None:
+        thread = threading.Thread(target=target, name=name, daemon=True)
+        thread.start()
+        self._threads.append(thread)
 
     def stop(self) -> None:
         self._running.clear()
         for thread in self._threads:
-            thread.join(timeout=2)
-        if self._executor:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._sock:
-            self._sock.close()
-            self._sock = None
-        if self._stats_sock:
-            self._stats_sock.close()
-            self._stats_sock = None
+            thread.join()
+        self._threads.clear()
+        self._close()
+
+    def _close(self) -> None:
+        for sock in (self._sock, self._upstream, self._stats_sock):
+            if sock:
+                sock.close()
+        self._sock = self._upstream = self._stats_sock = None
         if self._log_fh:
-            with self._log_lock:
-                try:
-                    self._log_fh.close()
-                except OSError as exc:
-                    log.warning("query log close failed: %s", exc)
-                self._log_fh = None
+            try:
+                self._log_fh.close()
+            except OSError as exc:
+                log.warning("query log close failed: %s", exc)
+            self._log_fh = None
 
     @property
     def address(self) -> tuple[str, int]:
@@ -236,137 +246,128 @@ class Sinkhole:
         )
 
     def stats(self) -> dict:
-        with self._counter_lock:
-            return dict(self._counters)
+        return {**self._counters, "pending": len(self._pending)}
 
     # -- serving -------------------------------------------------------
 
-    def _recv_loop(self) -> None:
-        assert self._sock is not None
-        while self._running.is_set():
+    def _serve(self) -> None:
+        """The event loop. It alone touches the DNS sockets and the log."""
+        with selectors.DefaultSelector() as sel:
+            sel.register(self._sock, selectors.EVENT_READ, self._on_query)
+            sel.register(self._upstream, selectors.EVENT_READ, self._on_reply)
+            listening = True
+            while listening or self._pending:
+                wait = self._expire(time.monotonic_ns())
+                for key, _ in sel.select(min(wait, _POLL_S)):
+                    try:
+                        key.data()
+                    except Exception:  # never let one datagram end the loop
+                        log.exception("query handling failed")
+                if listening and not self._running.is_set():
+                    sel.unregister(self._sock)  # stop reading; finish the pending
+                    listening = False
+
+    def _on_query(self) -> None:
+        for _ in range(_BATCH):
             try:
                 data, addr = self._sock.recvfrom(4096)
-            except socket.timeout:
+            except BlockingIOError:
+                return
+            started = time.monotonic_ns()
+            try:
+                message = dnswire.parse_message(data)
+                if message.header.qdcount != 1:
+                    raise dnswire.WireError("multi-question query")
+            except dnswire.WireError:
+                formerr = dnswire.build_error_response(data, dnswire.RCODE_FORMERR)
+                self._answer(addr, started, formerr, "", "", "upstream_error")
                 continue
-            except OSError:
-                break
-            if self._executor:
-                self._executor.submit(self._handle, data, addr)
-
-    def _handle(self, data: bytes, addr: tuple[str, int]) -> None:
-        started = time.monotonic_ns()
-        lists = self._lists  # snapshot for the whole query
-        try:
-            response, entry = self._respond(data, addr, lists, started)
-        except Exception:  # never let one query kill the worker
-            log.exception("query handling failed")
-            return
-        # Record before answering: once a client has its response, the
-        # query log already holds the entry (unless the write failed, which
-        # _record counts; the answer goes out either way).
-        self._record(entry)
-        sock = self._sock
-        if sock is None:
-            return
-        try:
-            sock.sendto(response, addr)
-        except OSError:
-            return
-
-    def _respond(
-        self,
-        data: bytes,
-        addr: tuple[str, int],
-        lists: tuple[BlockList, ...],
-        started: int,
-    ) -> tuple[bytes, QueryLogEntry]:
-        client = f"{addr[0]}:{addr[1]}"
-
-        def entry(qname: str, qtype: str, verdict: str, blocked: tuple[str, ...] = ()):
-            return QueryLogEntry(
-                timestamp=int(time.time() * 1000),
-                client=client,
-                qname=qname,
-                qtype=qtype,
-                verdict=verdict,
-                latency_us=(time.monotonic_ns() - started) // 1000,
-                blocked_by=blocked,
-            )
-
-        try:
-            message = dnswire.parse_message(data)
-            if message.header.qdcount != 1:
-                raise dnswire.WireError("multi-question query")
             question = message.question
-        except dnswire.WireError:
-            return (
-                dnswire.build_error_response(data, dnswire.RCODE_FORMERR),
-                entry("", "", "upstream_error"),
-            )
-
-        qname = question.qname.rstrip(".").lower()
-        qtype = dnswire.type_name(question.qtype)
-        verdict = blocked_by(qname, lists, self.cfg.match_mode)
-        if verdict.blocked:
-            response = answer_blocked(message, self.cfg)
-            return response, entry(qname, qtype, "blocked", tuple(sorted(verdict.blocked_by)))
-
-        reply = forward(data, self.cfg.upstream, self.cfg.upstream_timeout_ms)
-        if reply is None:
-            return (
-                dnswire.build_error_response(data, dnswire.RCODE_SERVFAIL),
-                entry(qname, qtype, "upstream_error"),
-            )
-        return reply, entry(qname, qtype, "forwarded")
-
-    def _record(self, entry: QueryLogEntry) -> None:
-        with self._counter_lock:
-            self._counters["total"] += 1
-            if entry.verdict == "blocked":
-                self._counters["blocked"] += 1
-            elif entry.verdict == "forwarded":
-                self._counters["forwarded"] += 1
+            qname = question.qname.rstrip(".").lower()
+            qtype = dnswire.type_name(question.qtype)
+            verdict = blocked_by(qname, self._lists, self.cfg.match_mode)
+            if verdict.blocked:
+                response = answer_blocked(message, self.cfg)
+                self._answer(addr, started, response, qname, qtype, "blocked", verdict.blocked_by)
+            elif len(self._pending) >= MAX_PENDING:
+                self._counters["shed"] += 1
+                servfail = dnswire.build_error_response(data, dnswire.RCODE_SERVFAIL)
+                self._answer(addr, started, servfail, qname, qtype, "upstream_error")
             else:
-                self._counters["upstream_errors"] += 1
-        if self._log_fh:
-            line = json.dumps(entry.to_json(), separators=(",", ":"))
-            with self._log_lock:
-                if self._log_fh:
-                    try:
-                        self._log_fh.write(line + "\n")
-                        self._log_fh.flush()
-                    except OSError as exc:
-                        self._log_failed(exc)
+                txid = random.getrandbits(16)
+                while txid in self._pending:
+                    txid = random.getrandbits(16)
+                deadline = started + self.cfg.upstream_timeout_ms * 1_000_000
+                self._pending[txid] = (deadline, data, _question(data), addr, started, qname, qtype)
+                try:
+                    self._upstream.send(dnswire.set_txid(data, txid))
+                except OSError:
+                    pass  # a refused or unreachable upstream: SERVFAIL at the deadline
 
-    def _log_failed(self, exc: OSError) -> None:
-        with self._counter_lock:
-            self._counters["log_errors"] += 1
-            first = self._counters["log_errors"] == 1
-        if first:
-            log.warning(
-                "query log write failed (%s); answering continues, "
-                "further failures are counted as log_errors only",
-                exc,
-            )
+    def _on_reply(self) -> None:
+        for _ in range(_BATCH):
+            try:
+                reply = self._upstream.recv(4096)
+            except BlockingIOError:
+                return
+            except ConnectionRefusedError:
+                continue  # an ICMP error from the upstream; queries wait out their deadline
+            txid = int.from_bytes(reply[:2], "big")
+            pending = self._pending.get(txid)
+            if pending is None or not _is_reply(reply, txid, pending[2]):
+                continue
+            del self._pending[txid]
+            _, data, _, addr, started, qname, qtype = pending
+            response = dnswire.set_txid(reply, int.from_bytes(data[:2], "big"))
+            self._answer(addr, started, response, qname, qtype, "forwarded")
+
+    def _expire(self, now: int) -> float:
+        """SERVFAIL every query past its deadline; return seconds to the next one."""
+        while self._pending:
+            txid = next(iter(self._pending))
+            deadline, data, _, addr, started, qname, qtype = self._pending[txid]
+            if deadline > now:
+                return (deadline - now) / 1e9
+            del self._pending[txid]
+            servfail = dnswire.build_error_response(data, dnswire.RCODE_SERVFAIL)
+            self._answer(addr, started, servfail, qname, qtype, "upstream_error")
+        return _POLL_S
+
+    def _answer(self, addr, started: int, response: bytes, qname: str, qtype: str,
+                verdict: str, blocked: Sequence[str] = ()) -> None:
+        """Count the query, log it, then answer. So a client holding its answer
+        finds the entry logged, unless the write failed; that is counted under
+        log_errors and the answer goes out regardless."""
+        self._counters["total"] += 1
+        self._counters["upstream_errors" if verdict == "upstream_error" else verdict] += 1
+        if self._log_fh:
+            entry = {
+                "timestamp": int(time.time() * 1000),
+                "client": f"{addr[0]}:{addr[1]}",
+                "qname": qname,
+                "qtype": qtype,
+                "verdict": verdict,
+                "latency_us": (time.monotonic_ns() - started) // 1000,
+            }
+            if verdict == "blocked":
+                entry["blocked_by"] = sorted(blocked)
+            try:
+                self._log_fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
+                self._log_fh.flush()
+            except OSError as exc:
+                self._counters["log_errors"] += 1
+                if self._counters["log_errors"] == 1:
+                    log.warning(
+                        "query log write failed (%s); answering continues, "
+                        "further failures are counted as log_errors only",
+                        exc,
+                    )
+        try:
+            self._sock.sendto(response, addr)
+        except OSError:
+            pass
 
     # -- stats endpoint --------------------------------------------------
-
-    def _start_stats_listener(self) -> None:
-        assert self.cfg.stats_address is not None
-        host, port = parse_hostport(self.cfg.stats_address, "stats_address")
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            sock.bind((host, port))
-        except OSError as exc:
-            sock.close()
-            raise BindFailure(f"cannot bind stats endpoint: {exc}") from exc
-        sock.listen(4)
-        sock.settimeout(0.25)
-        self._stats_sock = sock
-        thread = threading.Thread(target=self._stats_loop, daemon=True)
-        thread.start()
-        self._threads.append(thread)
 
     def _stats_loop(self) -> None:
         assert self._stats_sock is not None
@@ -395,4 +396,3 @@ def serve(cfg: SinkholeConfig, lists: Sequence[BlockList]) -> Sinkhole:
     service = Sinkhole(cfg, lists)
     service.start()
     return service
-

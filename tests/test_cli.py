@@ -645,6 +645,46 @@ class TestIngestHttpWarnings:
         assert (out / "http.jsonl").read_text() == ""
 
 
+class TestIngestNotUtf8:
+    """An input log that is not UTF-8 is a configuration error (exit 2) that
+    names the file, before any output and without a bundle."""
+
+    @pytest.mark.parametrize("flag", ["--flows", "--http"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, flag):
+        flows = tmp_path / "flows.jsonl"
+        flows.write_text(TestIngestHttpWarnings.FLOWS)
+        http = tmp_path / "http.jsonl"
+        http.write_text(TestIngestHttpWarnings.GOOD + "\n")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe" + TestIngestHttpWarnings.GOOD.encode("utf-16-le"))
+        inputs = {"--flows": str(flows), "--http": str(http), flag: str(bad)}
+        out = tmp_path / "b"
+        code, stdout, err = run(
+            capsys, "ingest", *(x for pair in inputs.items() for x in pair), "--out", str(out)
+        )
+        assert code == 2
+        assert str(bad) in err
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not out.exists()
+
+
+class TestServeStartFailure:
+    def test_unconnectable_upstream_exits_2(self, capsys):
+        code, _, err = run(
+            capsys,
+            "serve",
+            "--config",
+            CORPUS_CONFIG,
+            "--listen",
+            "127.0.0.1:0",
+            "--upstream",
+            "255.255.255.255:53",  # a UDP connect() to broadcast is refused
+        )
+        assert code == 2
+        assert "cannot connect to 255.255.255.255:53" in err
+
+
 class TestConfigValidation:
     """A bad match_mode or max_bucket is a configuration error (exit 2),
     reported before any command writes output."""

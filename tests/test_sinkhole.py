@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import socket
 import struct
 import sys
@@ -8,7 +9,7 @@ import time
 
 import pytest
 
-from tvblock import dnswire
+from tvblock import dnswire, sinkhole
 from tvblock.blocklists import BlockList
 from tvblock.sinkhole import (
     BindFailure,
@@ -455,3 +456,284 @@ class TestQueryLogFailure:
         stats = service.stats()
         assert stats["total"] == 200
         assert stats["log_errors"] == 200
+
+
+def free_udp_port():
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestStartFailure:
+    def test_stats_bind_failure_leaves_nothing_running(self, tmp_path):
+        upstream = MockUpstream()
+        before = set(threading.enumerate())
+        taken = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        port = free_udp_port()
+        cfg = make_config(
+            upstream.address,
+            listen_address=f"127.0.0.1:{port}",
+            stats_address=f"127.0.0.1:{taken.getsockname()[1]}",
+            query_log_path=str(tmp_path / "log.jsonl"),
+        )
+        try:
+            service = Sinkhole(cfg, [BLOCKED])
+            with pytest.raises(BindFailure):
+                service.start()
+            assert set(threading.enumerate()) <= before
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as again:
+                again.bind(("127.0.0.1", port))
+            service.stop()  # harmless after a failed start
+        finally:
+            taken.close()
+            upstream.close()
+
+    def test_unconnectable_upstream_is_a_bind_failure(self):
+        before = set(threading.enumerate())
+        cfg = make_config(("255.255.255.255", 53))  # connect() to broadcast is refused
+        with pytest.raises(BindFailure, match="cannot connect to"):
+            Sinkhole(cfg, [BLOCKED]).start()
+        assert set(threading.enumerate()) <= before
+
+    def test_stop_ends_every_thread(self):
+        upstream = MockUpstream()
+        before = set(threading.enumerate())
+        cfg = make_config(upstream.address, stats_address="127.0.0.1:0")
+        service = serve(cfg, [BLOCKED])
+        assert len(set(threading.enumerate()) - before) == 2  # the DNS loop and stats
+        service.stop()
+        upstream.close()
+        assert set(threading.enumerate()) <= before
+
+
+def read_log(path):
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+class LateUpstream:
+    """Answers each query correctly, but only after ``delay`` seconds."""
+
+    def __init__(self, delay):
+        self.delay = delay
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.sock.bind(("127.0.0.1", 0))
+        self.sock.settimeout(2)
+        self.replied = threading.Event()
+        self.thread = threading.Thread(target=self._answer_one, daemon=True)
+        self.thread.start()
+
+    @property
+    def address(self):
+        return self.sock.getsockname()[:2]
+
+    def _answer_one(self):
+        try:
+            data, addr = self.sock.recvfrom(4096)
+        except OSError:
+            return
+        time.sleep(self.delay)
+        query = dnswire.parse_message(data)
+        self.sock.sendto(
+            dnswire.build_response(
+                query, answers=((dnswire.TYPE_A, 60, dnswire.a_rdata("93.184.216.34")),)
+            ),
+            addr,
+        )
+        self.replied.set()
+
+    def close(self):
+        self.thread.join(timeout=3)
+        self.sock.close()
+
+
+class TestServeReplyValidation:
+    """The live path applies the same reply check as ``forward()``."""
+
+    def test_spoofed_and_mismatched_replies_are_dropped(self, tmp_path):
+        upstream = SpoofingUpstream()
+        cfg = make_config(upstream.address, query_log_path=str(tmp_path / "log.jsonl"))
+        service = serve(cfg, [BLOCKED])
+        try:
+            msg, _ = dns_ask(service.address, "real.example.org", txid=0x4242)
+            assert msg.header.txid == 0x4242
+            assert msg.question.qname == "real.example.org"
+            assert [a.address for a in msg.answers] == ["93.184.216.34"]
+        finally:
+            service.stop()
+            upstream.close()
+        entries = read_log(cfg.query_log_path)
+        assert [e["verdict"] for e in entries] == ["forwarded"]
+        assert service.stats()["pending"] == 0
+
+    def test_reply_after_the_deadline_is_not_answered_twice(self, tmp_path):
+        upstream = LateUpstream(delay=0.4)
+        cfg = make_config(
+            upstream.address,
+            query_log_path=str(tmp_path / "log.jsonl"),
+            upstream_timeout_ms=150,
+        )
+        service = serve(cfg, [BLOCKED])
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                client.settimeout(2)
+                client.sendto(
+                    dnswire.build_query("late.example.org", dnswire.TYPE_A, 9), service.address
+                )
+                first = dnswire.parse_message(client.recvfrom(4096)[0])
+                assert first.header.rcode == dnswire.RCODE_SERVFAIL
+                assert upstream.replied.wait(2)
+                client.settimeout(0.3)
+                with pytest.raises(socket.timeout):
+                    client.recvfrom(4096)
+        finally:
+            service.stop()
+            upstream.close()
+        entries = read_log(cfg.query_log_path)
+        assert [e["verdict"] for e in entries] == ["upstream_error"]
+        assert service.stats()["total"] == 1
+
+
+class TestFlood:
+    def test_full_pending_table_sheds_with_servfail(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sinkhole, "MAX_PENDING", 8)
+        upstream = MockUpstream(respond=False)
+        cfg = make_config(
+            upstream.address,
+            query_log_path=str(tmp_path / "log.jsonl"),
+            upstream_timeout_ms=1000,
+        )
+        service = serve(cfg, [BLOCKED])
+        depths, sampling = [], threading.Event()
+        sampling.set()
+
+        def sample():
+            while sampling.is_set():
+                depths.append(service.stats()["pending"])
+                time.sleep(0.001)
+
+        sampler = threading.Thread(target=sample)
+        sampler.start()
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                client.settimeout(3)
+                sent_at = time.monotonic()
+                for i in range(20):
+                    query = dnswire.build_query(f"q{i}.example.org", dnswire.TYPE_A, 100 + i)
+                    client.sendto(query, service.address)
+                early = [dnswire.parse_message(client.recvfrom(4096)[0]) for _ in range(12)]
+                assert time.monotonic() - sent_at < 0.8  # before any deadline
+                assert [m.header.txid for m in early] == list(range(108, 120))
+                assert {m.header.rcode for m in early} == {dnswire.RCODE_SERVFAIL}
+                stats = service.stats()
+                assert stats["shed"] == 12 and stats["pending"] == 8
+                late = [dnswire.parse_message(client.recvfrom(4096)[0]) for _ in range(8)]
+                assert sorted(m.header.txid for m in late) == list(range(100, 108))
+                assert {m.header.rcode for m in late} == {dnswire.RCODE_SERVFAIL}
+        finally:
+            sampling.clear()
+            sampler.join(timeout=2)
+            service.stop()
+            upstream.close()
+        assert not sampler.is_alive()
+        assert max(depths) <= 8
+        entries = read_log(cfg.query_log_path)
+        assert len(entries) == 20
+        assert {e["verdict"] for e in entries} == {"upstream_error"}
+        assert sorted(e["qname"] for e in entries) == sorted(f"q{i}.example.org" for i in range(20))
+        stats = service.stats()
+        assert stats["total"] == stats["upstream_errors"] == 20
+        assert stats["shed"] == 12 and stats["pending"] == 0
+
+
+def malformed_datagrams(seed, count):
+    """Random, truncated and bit-flipped variants of valid queries."""
+    rng = random.Random(seed)
+    valid = [
+        dnswire.build_query(name, qtype, rng.getrandbits(16))
+        for name in ("ads.example.com", "fine.example.org", "a.b.c.example.net")
+        for qtype in (dnswire.TYPE_A, dnswire.TYPE_AAAA, dnswire.TYPE_TXT)
+    ]
+    out = [b"", b"\x00", bytes(11), bytes(12)]
+    while len(out) < count:
+        base = rng.choice(valid)
+        kind = rng.randrange(3)
+        if kind == 0:
+            out.append(bytes(rng.getrandbits(8) for _ in range(rng.randrange(1, 64))))
+        elif kind == 1:
+            out.append(base[: rng.randrange(1, len(base))])
+        else:
+            data = bytearray(base)
+            for _ in range(rng.randrange(1, 4)):
+                data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            out.append(bytes(data))
+    return out
+
+
+class EchoUpstream:
+    """Answers every datagram with itself, QR bit set: it parses nothing, so
+    no packet the sinkhole forwards can stop it."""
+
+    def __init__(self):
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.sock.bind(("127.0.0.1", 0))
+        self.sock.settimeout(0.2)
+        self._running = True
+        self.thread = threading.Thread(target=self._loop, daemon=True)
+        self.thread.start()
+
+    @property
+    def address(self):
+        return self.sock.getsockname()[:2]
+
+    def _loop(self):
+        while self._running:
+            try:
+                data, addr = self.sock.recvfrom(4096)
+            except socket.timeout:
+                continue
+            if len(data) > 2:
+                self.sock.sendto(data[:2] + bytes([data[2] | 0x80]) + data[3:], addr)
+
+    def close(self):
+        self._running = False
+        self.thread.join(timeout=1)
+        self.sock.close()
+
+
+class TestMalformedPackets:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_each_datagram_gets_one_answer_and_one_log_line(self, tmp_path, seed):
+        upstream = EchoUpstream()
+        cfg = make_config(
+            upstream.address,
+            query_log_path=str(tmp_path / "log.jsonl"),
+            upstream_timeout_ms=200,
+        )
+        service = serve(cfg, [BLOCKED])
+        datagrams = malformed_datagrams(seed, 80)
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                for data in datagrams:
+                    client.sendto(data, service.address)
+                    time.sleep(0.001)
+                client.settimeout(0.6)  # longer than the upstream timeout
+                answers = 0
+                while True:
+                    try:
+                        client.recvfrom(4096)
+                    except socket.timeout:
+                        break
+                    answers += 1
+            assert answers == len(datagrams)
+            assert len(read_log(cfg.query_log_path)) == len(datagrams)
+            assert service.stats()["total"] == len(datagrams)
+            msg, _ = dns_ask(service.address, "after.example.org", txid=0x5151)
+            assert msg.header.txid == 0x5151 and msg.header.qr
+            assert msg.header.rcode == dnswire.RCODE_NOERROR
+            assert msg.question.qname == "after.example.org"
+        finally:
+            service.stop()
+            upstream.close()
