@@ -571,12 +571,6 @@ def cmd_serve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    try:
-        service = sinkhole.serve(sink_cfg, lists)
-    except (sinkhole.BindFailure, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
     def reload_lists(signum, frame):
         try:
             rebuilt = _build_lists(cfg)
@@ -587,17 +581,25 @@ def cmd_serve(args) -> int:
         except Exception as exc:  # keep serving under the old lists
             log.error("list reload failed: %s", exc)
 
-    signal.signal(signal.SIGHUP, reload_lists)
-    signal.signal(signal.SIGUSR1, lambda s, f: service.dump_stats())
-    host, port = service.address
-    print(f"sinkhole serving on {host}:{port}; SIGHUP reloads lists", file=sys.stderr)
+    service = None
+    # SIGINT may come as soon as the first query is answered, which can be
+    # before serve() returns: it must stop the service from then on.
     try:
+        service = sinkhole.serve(sink_cfg, lists)
+        signal.signal(signal.SIGHUP, reload_lists)
+        signal.signal(signal.SIGUSR1, lambda s, f: service.dump_stats())
+        host, port = service.address
+        print(f"sinkhole serving on {host}:{port}; SIGHUP reloads lists", file=sys.stderr)
         while True:
             time.sleep(3600)
+    except (sinkhole.BindFailure, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except KeyboardInterrupt:
         pass
     finally:
-        service.stop()
+        if service:
+            service.stop()
     return EXIT_OK
 
 

@@ -7,21 +7,25 @@ an immutable snapshot swapped atomically on reload; each query is decided
 under the snapshot current when it is read.
 
 One thread serves DNS from one ``selectors`` loop over the listen socket and
-one UDP socket connected to the upstream. A forwarded query waits in a table
-keyed by its upstream transaction id until its reply or its deadline. The
-table holds at most MAX_PENDING queries; one more is shed: SERVFAIL at once.
+a small pool of UDP sockets connected to the upstream. Each forwarded query
+leaves from a pool socket picked at random, with a random transaction id, and
+waits in a table keyed by (socket, id) until its reply or its deadline. So a
+forged reply must guess the source port as well as the id. Pool sockets are
+replaced as they serve, so no source port lasts long. The table holds at most
+MAX_PENDING queries; one more is shed: SERVFAIL at once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
-import random
+import secrets
 import selectors
 import socket
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Optional, Sequence
 
 from . import dnswire
@@ -31,6 +35,8 @@ from .config import SinkholeConfig, parse_hostport
 log = logging.getLogger(__name__)
 
 MAX_PENDING = 4096  # forwarded queries awaiting the upstream; more are shed
+_UPSTREAMS = 8  # upstream sockets, each on its own random source port
+_REOPEN_EVERY = 256  # forwarded queries between replacing the oldest upstream socket
 _BATCH = 64  # datagrams read from one socket per wake-up, so neither starves
 _POLL_S = 0.25  # longest select() wait, so stop() is noticed
 
@@ -96,20 +102,19 @@ def forward(
 ) -> Optional[bytes]:
     """Relay a query upstream and return the reply with the client's txid.
 
-    The upstream exchange uses a fresh transaction id on a socket connected
-    to the upstream, so datagrams from any other source are dropped. Replies
-    that fail ``_is_reply`` are skipped until the timeout. The accepted reply
-    is relayed verbatim apart from restoring the client's id. Returns None on
-    timeout. Blocking, one socket per call: the service's loop does not use it.
+    The upstream exchange uses a random transaction id on a fresh socket
+    connected to the upstream, so datagrams from any other source are
+    dropped. Replies that fail ``_is_reply`` are skipped until the timeout.
+    The accepted reply is relayed verbatim apart from restoring the client's
+    id. Returns None on timeout. Blocking, one socket per call: the service's loop does not use it.
     """
     client_txid = int.from_bytes(raw_query[:2], "big")
-    upstream_txid = random.getrandbits(16)
+    upstream_txid = secrets.randbits(16)
     request = dnswire.set_txid(raw_query, upstream_txid)
     question = _question(raw_query)
     deadline = time.monotonic() + timeout_ms / 1000.0
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        try:
-            sock.connect(upstream)
+    try:
+        with _upstream_socket(upstream) as sock:
             sock.send(request)
             while True:
                 remaining = deadline - time.monotonic()
@@ -119,34 +124,55 @@ def forward(
                 reply = sock.recv(4096)
                 if _is_reply(reply, upstream_txid, question):
                     return dnswire.set_txid(reply, client_txid)
-        except (socket.timeout, OSError):
-            return None
+    except OSError:  # socket.timeout included
+        return None
 
 
-def _open(kind: int, address: tuple[str, int], what: str, connect: bool = False) -> socket.socket:
-    """A socket bound (or, for the upstream, connected) to ``address``."""
-    sock = socket.socket(socket.AF_INET, kind)
+def _upstream_socket(upstream: tuple[str, int]) -> socket.socket:
+    """A non-blocking UDP socket connected to the upstream, so datagrams from
+    any other source are dropped. The kernel gives it a random source port."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
-        if kind == socket.SOCK_STREAM:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        (sock.connect if connect else sock.bind)(address)
-    except OSError as exc:
+        sock.connect(upstream)
+    except OSError:
         sock.close()
-        verb = "connect to" if connect else "bind"
-        raise BindFailure(f"cannot {verb} {what}: {exc.strerror or exc}") from exc
-    if kind == socket.SOCK_DGRAM:
-        sock.setblocking(False)  # the event loop's sockets never block
+        raise
+    sock.setblocking(False)
     return sock
+
+
+def _send(sock: socket.socket, request: bytes) -> None:
+    """Send a query upstream. An error other than a full buffer may only report
+    (and clear) an ICMP error left by an earlier query, so send once more. A
+    query that is not sent gets SERVFAIL at its deadline."""
+    for _ in range(2):
+        try:
+            sock.send(request)
+            return
+        except BlockingIOError:
+            return
+        except OSError:
+            continue
+
+
+@contextlib.contextmanager
+def _or_bind_failure(action: str):
+    """Re-raise an OSError from the block as a BindFailure naming ``action``."""
+    try:
+        yield
+    except OSError as exc:
+        raise BindFailure(f"cannot {action}: {exc.strerror or exc}") from exc
 
 
 class Sinkhole:
     """UDP DNS sinkhole service.
 
     start() opens every socket and the log, then starts the event-loop thread
-    (and the stats endpoint's accept thread). stop() stops reading queries,
-    lets in-flight forwards end, then closes all. set_lists() swaps the active
-    blocklist snapshot atomically. Only the loop thread writes the counters,
-    the pending table and the log, so nothing is locked.
+    (and the stats endpoint's accept thread); after that only the loop opens
+    and closes upstream sockets. stop() stops reading queries, lets in-flight
+    forwards end, then closes all. set_lists() swaps the active blocklist
+    snapshot atomically. Only the loop thread writes the counters, the
+    pending table and the log, so nothing is locked.
     """
 
     def __init__(self, cfg: SinkholeConfig, lists: Sequence[BlockList]):
@@ -160,15 +186,19 @@ class Sinkhole:
             known[n] for n in cfg.active_lists
         )
         self._sock: Optional[socket.socket] = None
-        self._upstream: Optional[socket.socket] = None
+        self._upstreams: list[socket.socket] = []  # the pool new queries leave from
+        # Replaced pool sockets, (close time in ns, socket), kept open for late replies.
+        self._retired: deque[tuple[int, socket.socket]] = deque()
+        self._sel: Optional[selectors.BaseSelector] = None
+        self._sent = 0  # forwarded queries sent, for replacing pool sockets
         self._stats_sock: Optional[socket.socket] = None
         self._log_fh = None
         self._threads: list[threading.Thread] = []
         self._running = threading.Event()
-        # upstream txid -> (deadline_ns, raw query, question, client address, started_ns,
+        # (upstream socket, txid) -> (deadline_ns, raw query, question, client address, started_ns,
         # qname, qtype). With one timeout for all, insertion order is deadline order.
         # OrderedDict: finding a plain dict's first key slows as entries are deleted.
-        self._pending: OrderedDict[int, tuple] = OrderedDict()
+        self._pending: OrderedDict[tuple[socket.socket, int], tuple] = OrderedDict()
         self._counters = {
             "total": 0,
             "blocked": 0,
@@ -181,17 +211,25 @@ class Sinkhole:
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> None:
+        cfg = self.cfg
         try:
-            self._sock = _open(socket.SOCK_DGRAM, self.cfg.listen, self.cfg.listen_address)
-            upstream = self.cfg.upstream_resolver
-            self._upstream = _open(socket.SOCK_DGRAM, self.cfg.upstream, upstream, connect=True)
-            if self.cfg.stats_address:
-                address = parse_hostport(self.cfg.stats_address, "stats_address")
-                self._stats_sock = _open(socket.SOCK_STREAM, address, "stats endpoint")
+            self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            with _or_bind_failure(f"bind {cfg.listen_address}"):
+                self._sock.bind(cfg.listen)
+            self._sock.setblocking(False)
+            with _or_bind_failure(f"connect to {cfg.upstream_resolver}"):
+                for _ in range(_UPSTREAMS):
+                    self._upstreams.append(_upstream_socket(cfg.upstream))
+            if cfg.stats_address:
+                address = parse_hostport(cfg.stats_address, "stats_address")
+                self._stats_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                self._stats_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                with _or_bind_failure("bind stats endpoint"):
+                    self._stats_sock.bind(address)
                 self._stats_sock.listen(4)
                 self._stats_sock.settimeout(_POLL_S)
-            if self.cfg.query_log_path:
-                self._log_fh = open(self.cfg.query_log_path, "a", encoding="utf-8")
+            if cfg.query_log_path:
+                self._log_fh = open(cfg.query_log_path, "a", encoding="utf-8")
         except BaseException:
             self._close()
             raise
@@ -214,10 +252,13 @@ class Sinkhole:
         self._close()
 
     def _close(self) -> None:
-        for sock in (self._sock, self._upstream, self._stats_sock):
+        retired = [sock for _, sock in self._retired]
+        for sock in (self._sock, self._stats_sock, *self._upstreams, *retired):
             if sock:
                 sock.close()
-        self._sock = self._upstream = self._stats_sock = None
+        self._sock = self._stats_sock = None
+        self._upstreams.clear()
+        self._retired.clear()
         if self._log_fh:
             try:
                 self._log_fh.close()
@@ -246,6 +287,8 @@ class Sinkhole:
         )
 
     def stats(self) -> dict:
+        """The counters, read without a lock while the loop runs: "total" may
+        briefly trail the verdict counts, never lead them."""
         return {**self._counters, "pending": len(self._pending)}
 
     # -- serving -------------------------------------------------------
@@ -253,14 +296,19 @@ class Sinkhole:
     def _serve(self) -> None:
         """The event loop. It alone touches the DNS sockets and the log."""
         with selectors.DefaultSelector() as sel:
-            sel.register(self._sock, selectors.EVENT_READ, self._on_query)
-            sel.register(self._upstream, selectors.EVENT_READ, self._on_reply)
+            self._sel = sel
+            sel.register(self._sock, selectors.EVENT_READ)
+            for sock in self._upstreams:
+                sel.register(sock, selectors.EVENT_READ)
             listening = True
             while listening or self._pending:
                 wait = self._expire(time.monotonic_ns())
                 for key, _ in sel.select(min(wait, _POLL_S)):
                     try:
-                        key.data()
+                        if key.fileobj is self._sock:
+                            self._on_query()
+                        else:
+                            self._on_reply(key.fileobj)
                     except Exception:  # never let one datagram end the loop
                         log.exception("query handling failed")
                 if listening and not self._running.is_set():
@@ -294,41 +342,61 @@ class Sinkhole:
                 servfail = dnswire.build_error_response(data, dnswire.RCODE_SERVFAIL)
                 self._answer(addr, started, servfail, qname, qtype, "upstream_error")
             else:
-                txid = random.getrandbits(16)
-                while txid in self._pending:
-                    txid = random.getrandbits(16)
+                sock = secrets.choice(self._upstreams)
+                txid = secrets.randbits(16)
+                while (sock, txid) in self._pending:
+                    txid = secrets.randbits(16)
                 deadline = started + self.cfg.upstream_timeout_ms * 1_000_000
-                self._pending[txid] = (deadline, data, _question(data), addr, started, qname, qtype)
-                try:
-                    self._upstream.send(dnswire.set_txid(data, txid))
-                except OSError:
-                    pass  # a refused or unreachable upstream: SERVFAIL at the deadline
+                self._pending[sock, txid] = (deadline, data, _question(data), addr, started,
+                                             qname, qtype)
+                _send(sock, dnswire.set_txid(data, txid))
+                self._sent += 1
+                if self._sent % _REOPEN_EVERY == 0:
+                    self._reopen()
 
-    def _on_reply(self) -> None:
+    def _reopen(self) -> None:
+        """Replace the oldest pool socket with one on a fresh source port. The old
+        one is closed once every query sent from it is past its deadline."""
+        try:
+            fresh = _upstream_socket(self.cfg.upstream)
+        except OSError as exc:
+            log.warning("cannot open a new upstream socket: %s", exc)
+            return
+        self._sel.register(fresh, selectors.EVENT_READ)
+        self._upstreams.append(fresh)
+        close_at = time.monotonic_ns() + self.cfg.upstream_timeout_ms * 1_000_000
+        self._retired.append((close_at, self._upstreams.pop(0)))
+
+    def _on_reply(self, sock: socket.socket) -> None:
         for _ in range(_BATCH):
             try:
-                reply = self._upstream.recv(4096)
+                reply = sock.recv(4096)
             except BlockingIOError:
                 return
-            except ConnectionRefusedError:
+            except OSError:
                 continue  # an ICMP error from the upstream; queries wait out their deadline
-            txid = int.from_bytes(reply[:2], "big")
-            pending = self._pending.get(txid)
-            if pending is None or not _is_reply(reply, txid, pending[2]):
+            key = (sock, int.from_bytes(reply[:2], "big"))
+            pending = self._pending.get(key)
+            if pending is None or not _is_reply(reply, key[1], pending[2]):
                 continue
-            del self._pending[txid]
+            del self._pending[key]
             _, data, _, addr, started, qname, qtype = pending
             response = dnswire.set_txid(reply, int.from_bytes(data[:2], "big"))
             self._answer(addr, started, response, qname, qtype, "forwarded")
 
     def _expire(self, now: int) -> float:
-        """SERVFAIL every query past its deadline; return seconds to the next one."""
+        """Close retired sockets that are done, SERVFAIL every query past its
+        deadline, and return seconds to the next deadline."""
+        while self._retired and self._retired[0][0] <= now:
+            sock = self._retired.popleft()[1]
+            self._sel.unregister(sock)
+            sock.close()
         while self._pending:
-            txid = next(iter(self._pending))
-            deadline, data, _, addr, started, qname, qtype = self._pending[txid]
+            key = next(iter(self._pending))
+            deadline, data, _, addr, started, qname, qtype = self._pending[key]
             if deadline > now:
                 return (deadline - now) / 1e9
-            del self._pending[txid]
+            del self._pending[key]
             servfail = dnswire.build_error_response(data, dnswire.RCODE_SERVFAIL)
             self._answer(addr, started, servfail, qname, qtype, "upstream_error")
         return _POLL_S
@@ -338,8 +406,8 @@ class Sinkhole:
         """Count the query, log it, then answer. So a client holding its answer
         finds the entry logged, unless the write failed; that is counted under
         log_errors and the answer goes out regardless."""
-        self._counters["total"] += 1
         self._counters["upstream_errors" if verdict == "upstream_error" else verdict] += 1
+        self._counters["total"] += 1  # last: a snapshot never shows total above the verdicts
         if self._log_fh:
             entry = {
                 "timestamp": int(time.time() * 1000),

@@ -684,6 +684,28 @@ class TestServeStartFailure:
         assert code == 2
         assert "cannot connect to 255.255.255.255:53" in err
 
+    def test_interrupt_before_serve_waits_still_stops_the_service(self, capsys, monkeypatch):
+        """The first query can be answered, and SIGINT sent, before serve()
+        returns; an interrupt from then on exits 0 and stops the service."""
+        from tvblock import cli, sinkhole
+
+        stopped = []
+        real_stop = sinkhole.Sinkhole.stop
+        monkeypatch.setattr(
+            sinkhole.Sinkhole, "stop", lambda self: (stopped.append(self), real_stop(self))
+        )
+
+        def interrupted(signum, handler):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.signal, "signal", interrupted)
+        code, _, _ = run(
+            capsys, "serve", "--config", CORPUS_CONFIG, "--listen", "127.0.0.1:0",
+            "--upstream", "127.0.0.1:9",
+        )
+        assert code == 0
+        assert len(stopped) == 1
+
 
 class TestConfigValidation:
     """A bad match_mode or max_bucket is a configuration error (exit 2),

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -32,6 +33,7 @@ class MockUpstream:
         self.respond = respond
         self.garbage = garbage
         self.seen: list[str] = []
+        self.sources: list[tuple] = []  # the address each query came from
         self._running = True
         self.thread = threading.Thread(target=self._loop, daemon=True)
         self.thread.start()
@@ -48,6 +50,7 @@ class MockUpstream:
                 continue
             except OSError:
                 break
+            self.sources.append(addr)
             try:
                 query = dnswire.parse_message(data)
                 self.seen.append(query.question.qname.lower())
@@ -737,3 +740,123 @@ class TestMalformedPackets:
         finally:
             service.stop()
             upstream.close()
+
+
+def port_is_free(port):
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+        try:
+            probe.bind(("127.0.0.1", port))
+        except OSError:
+            return False
+        return True
+
+
+class TestUpstreamSourcePorts:
+    """A forged reply must guess the source port as well as the txid."""
+
+    def test_forwarded_queries_leave_from_several_ports(self):
+        upstream = MockUpstream()
+        service = serve(make_config(upstream.address), [BLOCKED])
+        try:
+            for i in range(32):
+                msg, _ = dns_ask(service.address, f"n{i}.example.org", txid=i)
+                assert [a.address for a in msg.answers] == ["93.184.216.34"]
+        finally:
+            service.stop()
+            upstream.close()
+        # 8 sockets picked at random: one port for all 32 has odds 8 ** -31
+        assert len({port for _, port in upstream.sources}) > 1
+
+    def test_sockets_are_replaced_and_closed_after_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(sinkhole, "_UPSTREAMS", 1)
+        monkeypatch.setattr(sinkhole, "_REOPEN_EVERY", 1)
+        upstream = MockUpstream()
+        service = serve(make_config(upstream.address, upstream_timeout_ms=1000), [BLOCKED])
+        try:
+            started = time.monotonic()
+            for i in range(4):
+                # the reply reaches a socket already replaced: still accepted
+                msg, _ = dns_ask(service.address, f"r{i}.example.org", txid=i)
+                assert [a.address for a in msg.answers] == ["93.184.216.34"]
+            ports = [port for _, port in upstream.sources]
+            assert len(set(ports)) == 4
+            if time.monotonic() - started < 0.9:
+                assert not port_is_free(ports[0])  # kept open until its deadline
+            until = time.monotonic() + 3
+            while not all(map(port_is_free, ports)) and time.monotonic() < until:
+                time.sleep(0.05)
+            assert all(map(port_is_free, ports))
+            assert service.stats()["forwarded"] == 4
+        finally:
+            service.stop()
+            upstream.close()
+
+    def test_queries_forward_again_once_a_refusing_upstream_is_back(self, monkeypatch):
+        monkeypatch.setattr(sinkhole, "_UPSTREAMS", 1)
+        port = free_udp_port()  # nothing listens: the upstream refuses
+        cfg = make_config(("127.0.0.1", port), upstream_timeout_ms=200)
+        service = serve(cfg, [BLOCKED])
+        try:
+            for txid in (1, 2):
+                msg, _ = dns_ask(service.address, "down.example.org", txid=txid)
+                assert msg.header.rcode == dnswire.RCODE_SERVFAIL
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as resolver:
+                resolver.bind(("127.0.0.1", port))
+                resolver.settimeout(2)
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                    client.settimeout(2)
+                    client.sendto(
+                        dnswire.build_query("up.example.org", dnswire.TYPE_A, 3), service.address
+                    )
+                    data, addr = resolver.recvfrom(4096)
+                    reply = dnswire.build_response(
+                        dnswire.parse_message(data),
+                        answers=((dnswire.TYPE_A, 60, dnswire.a_rdata("93.184.216.34")),),
+                    )
+                    resolver.sendto(reply, addr)
+                    msg = dnswire.parse_message(client.recvfrom(4096)[0])
+            assert msg.header.txid == 3 and msg.header.rcode == dnswire.RCODE_NOERROR
+            assert service.stats()["upstream_errors"] == 2
+        finally:
+            service.stop()
+
+
+class FailingSocket:
+    """Raises each given error from send() or recv() in turn, then
+    BlockingIOError (recv) or succeeds (send)."""
+
+    def __init__(self, *errors):
+        self.errors = list(errors)
+        self.sent: list[bytes] = []
+
+    def _next(self):
+        if self.errors:
+            raise self.errors.pop(0)
+
+    def send(self, data):
+        self._next()
+        self.sent.append(data)
+
+    def recv(self, size):
+        self._next()
+        raise BlockingIOError
+
+
+class TestUpstreamSocketErrors:
+    def test_send_is_tried_again_after_a_reported_icmp_error(self):
+        sock = FailingSocket(ConnectionRefusedError())
+        sinkhole._send(sock, b"query")
+        assert sock.sent == [b"query"]
+
+    def test_a_full_send_buffer_is_not_retried(self):
+        sock = FailingSocket(BlockingIOError())
+        sinkhole._send(sock, b"query")
+        assert sock.sent == [] and sock.errors == []
+
+    @pytest.mark.parametrize("errno_", ["EHOSTUNREACH", "ENETUNREACH", "ECONNREFUSED"])
+    def test_any_icmp_error_on_read_is_skipped(self, errno_):
+        code = getattr(errno, errno_)
+        service = Sinkhole(make_config(("127.0.0.1", 5399)), [BLOCKED])
+        sock = FailingSocket(OSError(code, os.strerror(code)))
+        service._on_reply(sock)  # returns at BlockingIOError, raises nothing
+        assert sock.errors == []
