@@ -28,6 +28,7 @@ from .party import (
 )
 from .traffic import (
     Dataset,
+    DatasetSummary,
     FlowRecord,
     HttpTransaction,
     LogParseError,
@@ -56,7 +57,8 @@ class CliError(Exception):
 # -- bundle I/O ----------------------------------------------------------
 
 
-def write_bundle(out_dir: str, dataset: Dataset) -> None:
+def write_bundle(out_dir: str, dataset: Dataset) -> DatasetSummary:
+    """Write the bundle files and return the summary written to summary.json."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "flows.jsonl"), "w", encoding="utf-8") as fh:
         for rec in dataset.records:
@@ -75,6 +77,7 @@ def write_bundle(out_dir: str, dataset: Dataset) -> None:
     with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
+    return summary
 
 
 def _read_bundle_log(path: str, build, what: str):
@@ -262,8 +265,7 @@ def cmd_ingest(args) -> int:
     dataset = Dataset(
         label=label, records=flows.records, transactions=transactions, platform=platform
     )
-    write_bundle(cfg.output_dir, dataset)
-    summary = dataset_summary(dataset)
+    summary = write_bundle(cfg.output_dir, dataset)
     print(json.dumps({"label": label, **summary.to_json()}, indent=2))
     return EXIT_PARTIAL if flows.errors or http_errors else EXIT_OK
 

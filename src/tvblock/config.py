@@ -17,6 +17,11 @@ from .blocklists import MATCH_MODES, MatchMode
 BLOCKING_MODES = ("null", "nxdomain")
 
 
+def _check_match_mode(mode: str) -> None:
+    if mode not in MATCH_MODES:
+        raise ValueError(f"match_mode must be one of {MATCH_MODES}, got {mode!r}")
+
+
 def parse_hostport(value: str, what: str) -> tuple[str, int]:
     """Split a HOST:PORT setting; ``what`` names it in the ValueError."""
     host, sep, port = value.rpartition(":")
@@ -50,6 +55,7 @@ class SinkholeConfig:
             raise ValueError("at least one active list is required")
         if self.blocking_mode not in BLOCKING_MODES:
             raise ValueError(f"blocking_mode must be one of {BLOCKING_MODES}")
+        _check_match_mode(self.match_mode)
         listen = parse_hostport(self.listen_address, "listen_address")
         upstream = parse_hostport(self.upstream_resolver, "upstream_resolver")
         if listen == upstream:
@@ -84,8 +90,7 @@ class GlobalConfig:
     sinkhole: SinkholeConfig = field(default_factory=SinkholeConfig)
 
     def validate(self) -> None:
-        if self.match_mode not in MATCH_MODES:
-            raise ValueError(f"match_mode must be one of {MATCH_MODES}, got {self.match_mode!r}")
+        _check_match_mode(self.match_mode)
         if self.max_bucket < 1:
             raise ValueError(f"max_bucket must be >= 1, got {self.max_bucket}")
 
@@ -104,7 +109,8 @@ def load_config(path: str) -> GlobalConfig:
     sink_obj = obj.pop("sinkhole", {})
     if not isinstance(sink_obj, dict):
         raise ValueError("sinkhole section must be an object")
-    sink_known = {f.name for f in fields(SinkholeConfig)}
+    # The top-level match_mode is the sinkhole's too: there is no second one.
+    sink_known = {f.name for f in fields(SinkholeConfig)} - {"match_mode"}
     sink_unknown = set(sink_obj) - sink_known
     if sink_unknown:
         raise ValueError(f"unknown sinkhole config keys: {sorted(sink_unknown)}")

@@ -4,7 +4,7 @@ Blocked names answer 0.0.0.0 (A) / :: (AAAA) with a short TTL, or NXDOMAIN
 when configured; everything else is relayed to the upstream resolver. Every
 query produces one append-only JSONL log entry. The active blocklists are
 an immutable snapshot swapped atomically on reload; each query is decided
-under the snapshot current when it is read.
+under the snapshot current when it is read, by ``respond``, which does no I/O.
 
 One thread serves DNS from one ``selectors`` loop over the listen socket and
 a small pool of UDP sockets connected to the upstream. Each forwarded query
@@ -26,7 +26,7 @@ import socket
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import dnswire
 from .blocklists import BlockList, blocked_by
@@ -45,15 +45,42 @@ class BindFailure(OSError):
     pass
 
 
-def decide(
-    qname: str,
-    qtype: int,
-    lists: Sequence[BlockList],
-    cfg: SinkholeConfig,
-) -> str:
-    """"block" when any active list blocks the name; qtype plays no part."""
+class Outcome(NamedTuple):
+    """respond()'s verdict on one query datagram and what to log about it."""
+
+    response: Optional[bytes]  # the answer; None: forward the query upstream
+    verdict: str  # the log verdict: "blocked", "forwarded" or "upstream_error"
+    qname: str = ""
+    qtype: str = ""
+    blocked_by: frozenset[str] = frozenset()
+    question: bytes = b""  # the question section as sent, lowercased: a reply must echo it
+
+
+def respond(data: bytes, lists: Sequence[BlockList], cfg: SinkholeConfig) -> Outcome:
+    """Decide one query datagram under a list snapshot. No I/O, no clock.
+
+    A datagram that is not one parsable question gets FORMERR (logged as
+    "upstream_error"). A name any list blocks gets ``answer_blocked``; any
+    other query is forwarded. The question is parsed once, and its bytes as
+    sent are what the blocked answer echoes and a forwarded reply must match.
+    """
+    try:
+        query = dnswire.parse_message(data)
+        question = query.question
+    except dnswire.WireError:
+        return Outcome(dnswire.build_error_response(data, dnswire.RCODE_FORMERR), "upstream_error")
+    qname = question.qname.rstrip(".").lower()
+    qtype = dnswire.type_name(question.qtype)
     verdict = blocked_by(qname, lists, cfg.match_mode)
-    return "block" if verdict.blocked else "forward"
+    if verdict.blocked:
+        return Outcome(answer_blocked(query, cfg), "blocked", qname, qtype, verdict.blocked_by)
+    return Outcome(None, "forwarded", qname, qtype, question=question.wire.lower())
+
+
+def decide(qname: str, qtype: int, lists: Sequence[BlockList], cfg: SinkholeConfig) -> str:
+    """"block" when respond() blocks a query for the name; qtype plays no part."""
+    outcome = respond(dnswire.build_query(qname, qtype, 0), lists, cfg)
+    return "block" if outcome.verdict == "blocked" else "forward"
 
 
 def answer_blocked(query: dnswire.Message, cfg: SinkholeConfig) -> bytes:
@@ -74,25 +101,12 @@ def answer_blocked(query: dnswire.Message, cfg: SinkholeConfig) -> bytes:
     return dnswire.build_response(query, rcode=dnswire.RCODE_NOERROR, answers=answers)
 
 
-def _question(data: bytes) -> Optional[bytes]:
-    """The first question (name, type, class) as raw bytes, name lowercased.
-
-    None when the message has no complete, uncompressed first question.
-    """
-    if len(data) < 12 or data[4:6] == b"\0\0":
-        return None
-    pos = 12
-    while pos < len(data) and data[pos]:
-        if data[pos] & 0xC0:
-            return None
-        pos += data[pos] + 1
-    end = pos + 5
-    return data[12:end].lower() if end <= len(data) else None
-
-
-def _is_reply(reply: bytes, txid: int, question: Optional[bytes]) -> bool:
-    """Whether ``reply`` answers the upstream query with this txid and question."""
-    return len(reply) >= 12 and reply[:2] == txid.to_bytes(2, "big") and _question(reply) == question
+def _is_reply(reply: bytes, txid: int, question: bytes) -> bool:
+    """Whether ``reply`` answers the upstream query sent with this txid and
+    ``question`` (its question section, lowercased): the reply carries the
+    same section, its name in any case."""
+    return (reply[:2] == txid.to_bytes(2, "big") and reply[4:6] != b"\0\0"
+            and reply[12:12 + len(question)].lower() == question)
 
 
 def forward(
@@ -102,16 +116,17 @@ def forward(
 ) -> Optional[bytes]:
     """Relay a query upstream and return the reply with the client's txid.
 
-    The upstream exchange uses a random transaction id on a fresh socket
-    connected to the upstream, so datagrams from any other source are
-    dropped. Replies that fail ``_is_reply`` are skipped until the timeout.
-    The accepted reply is relayed verbatim apart from restoring the client's
-    id. Returns None on timeout. Blocking, one socket per call: the service's loop does not use it.
+    ``raw_query`` must hold one parsable question. The upstream exchange
+    uses a random transaction id on a fresh socket connected to the
+    upstream, so datagrams from any other source are dropped. Replies that
+    fail ``_is_reply`` are skipped until the timeout. The accepted reply is
+    relayed verbatim apart from restoring the client's id. Returns None on
+    timeout. Blocking, one socket per call: the service's loop does not use it.
     """
     client_txid = int.from_bytes(raw_query[:2], "big")
     upstream_txid = secrets.randbits(16)
     request = dnswire.set_txid(raw_query, upstream_txid)
-    question = _question(raw_query)
+    question = dnswire.parse_message(raw_query).question.wire.lower()
     deadline = time.monotonic() + timeout_ms / 1000.0
     try:
         with _upstream_socket(upstream) as sock:
@@ -195,8 +210,8 @@ class Sinkhole:
         self._log_fh = None
         self._threads: list[threading.Thread] = []
         self._running = threading.Event()
-        # (upstream socket, txid) -> (deadline_ns, raw query, question, client address, started_ns,
-        # qname, qtype). With one timeout for all, insertion order is deadline order.
+        # (upstream socket, txid) -> (deadline_ns, raw query, client address, started_ns,
+        # respond()'s Outcome). With one timeout for all, insertion order is deadline order.
         # OrderedDict: finding a plain dict's first key slows as entries are deleted.
         self._pending: OrderedDict[tuple[socket.socket, int], tuple] = OrderedDict()
         self._counters = {
@@ -322,33 +337,20 @@ class Sinkhole:
             except BlockingIOError:
                 return
             started = time.monotonic_ns()
-            try:
-                message = dnswire.parse_message(data)
-                if message.header.qdcount != 1:
-                    raise dnswire.WireError("multi-question query")
-            except dnswire.WireError:
-                formerr = dnswire.build_error_response(data, dnswire.RCODE_FORMERR)
-                self._answer(addr, started, formerr, "", "", "upstream_error")
-                continue
-            question = message.question
-            qname = question.qname.rstrip(".").lower()
-            qtype = dnswire.type_name(question.qtype)
-            verdict = blocked_by(qname, self._lists, self.cfg.match_mode)
-            if verdict.blocked:
-                response = answer_blocked(message, self.cfg)
-                self._answer(addr, started, response, qname, qtype, "blocked", verdict.blocked_by)
+            outcome = respond(data, self._lists, self.cfg)
+            if outcome.response is not None:
+                self._answer(addr, started, outcome.response, outcome)
             elif len(self._pending) >= MAX_PENDING:
                 self._counters["shed"] += 1
                 servfail = dnswire.build_error_response(data, dnswire.RCODE_SERVFAIL)
-                self._answer(addr, started, servfail, qname, qtype, "upstream_error")
+                self._answer(addr, started, servfail, outcome._replace(verdict="upstream_error"))
             else:
                 sock = secrets.choice(self._upstreams)
                 txid = secrets.randbits(16)
                 while (sock, txid) in self._pending:
                     txid = secrets.randbits(16)
                 deadline = started + self.cfg.upstream_timeout_ms * 1_000_000
-                self._pending[sock, txid] = (deadline, data, _question(data), addr, started,
-                                             qname, qtype)
+                self._pending[sock, txid] = (deadline, data, addr, started, outcome)
                 _send(sock, dnswire.set_txid(data, txid))
                 self._sent += 1
                 if self._sent % _REOPEN_EVERY == 0:
@@ -377,12 +379,12 @@ class Sinkhole:
                 continue  # an ICMP error from the upstream; queries wait out their deadline
             key = (sock, int.from_bytes(reply[:2], "big"))
             pending = self._pending.get(key)
-            if pending is None or not _is_reply(reply, key[1], pending[2]):
+            if pending is None or not _is_reply(reply, key[1], pending[4].question):
                 continue
             del self._pending[key]
-            _, data, _, addr, started, qname, qtype = pending
+            _, data, addr, started, outcome = pending
             response = dnswire.set_txid(reply, int.from_bytes(data[:2], "big"))
-            self._answer(addr, started, response, qname, qtype, "forwarded")
+            self._answer(addr, started, response, outcome)
 
     def _expire(self, now: int) -> float:
         """Close retired sockets that are done, SERVFAIL every query past its
@@ -393,32 +395,32 @@ class Sinkhole:
             sock.close()
         while self._pending:
             key = next(iter(self._pending))
-            deadline, data, _, addr, started, qname, qtype = self._pending[key]
+            deadline, data, addr, started, outcome = self._pending[key]
             if deadline > now:
                 return (deadline - now) / 1e9
             del self._pending[key]
             servfail = dnswire.build_error_response(data, dnswire.RCODE_SERVFAIL)
-            self._answer(addr, started, servfail, qname, qtype, "upstream_error")
+            self._answer(addr, started, servfail, outcome._replace(verdict="upstream_error"))
         return _POLL_S
 
-    def _answer(self, addr, started: int, response: bytes, qname: str, qtype: str,
-                verdict: str, blocked: Sequence[str] = ()) -> None:
+    def _answer(self, addr, started: int, response: bytes, outcome: Outcome) -> None:
         """Count the query, log it, then answer. So a client holding its answer
         finds the entry logged, unless the write failed; that is counted under
         log_errors and the answer goes out regardless."""
+        verdict = outcome.verdict
         self._counters["upstream_errors" if verdict == "upstream_error" else verdict] += 1
         self._counters["total"] += 1  # last: a snapshot never shows total above the verdicts
         if self._log_fh:
             entry = {
                 "timestamp": int(time.time() * 1000),
                 "client": f"{addr[0]}:{addr[1]}",
-                "qname": qname,
-                "qtype": qtype,
+                "qname": outcome.qname,
+                "qtype": outcome.qtype,
                 "verdict": verdict,
                 "latency_us": (time.monotonic_ns() - started) // 1000,
             }
             if verdict == "blocked":
-                entry["blocked_by"] = sorted(blocked)
+                entry["blocked_by"] = sorted(outcome.blocked_by)
             try:
                 self._log_fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
                 self._log_fh.flush()

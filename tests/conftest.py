@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from hypothesis import settings
 
 from tvblock import psl
 from tvblock.blocklists import build_list
@@ -11,6 +12,12 @@ CORPUS_DIR = os.path.join(DATA_DIR, "corpus")
 PSL_PATH = os.path.join(DATA_DIR, "public_suffix_list.dat")
 PSL_VECTORS_PATH = os.path.join(DATA_DIR, "psl_test_vectors.txt")
 CORPUS_CONFIG = os.path.join(DATA_DIR, "corpus_config.json")
+
+# On CI (which sets CI): print a blob that replays any failing example, and no
+# deadlines, which shared runners trip on timing alone.
+settings.register_profile("ci", print_blob=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -267,3 +267,28 @@ class TestParseHostsListProperties:
         entries, diags = _parse(text)
         assert entries
         assert (entries, diags) == _reference_parse(text)
+
+
+# Few labels, so names often sit under one another and lists overlap.
+NAMES = st.lists(st.sampled_from(["a", "b", "ads", "x-1"]), min_size=1, max_size=4).map(".".join)
+LISTS = st.lists(st.frozensets(NAMES, max_size=8), min_size=1, max_size=4).map(
+    lambda sets: [BlockList(f"L{i}", entries) for i, entries in enumerate(sets)]
+)
+
+
+class TestMatchProperties:
+    @given(NAMES, st.frozensets(NAMES, max_size=8))
+    def test_exact_block_implies_suffix_block(self, fqdn, entries):
+        bl = BlockList("L", entries)
+        if is_blocked(fqdn, bl, "exact"):
+            assert is_blocked(fqdn, bl, "suffix")
+
+    @given(NAMES, LISTS, st.sampled_from(["exact", "suffix"]))
+    def test_blocked_by_matches_per_list_brute_force(self, fqdn, lists, mode):
+        expected = {bl.name for bl in lists if _linear_scan(fqdn, bl.entries, mode)}
+        verdict = blocked_by(fqdn, lists, mode)
+        assert verdict.blocked_by == expected and verdict.blocked == bool(expected)
+
+    @given(LISTS)
+    def test_union_entries_are_the_set_union(self, lists):
+        assert union_lists(lists).entries == set().union(*(bl.entries for bl in lists))

@@ -21,7 +21,10 @@ from tvblock.traffic import Dataset, Platform, dataset_summary, parse_flow_log, 
 
 
 def assert_loads_as(dataset, bundle_dir, drop_platform=False):
-    write_bundle(bundle_dir, dataset)
+    summary = write_bundle(bundle_dir, dataset)
+    with open(os.path.join(bundle_dir, "summary.json"), encoding="utf-8") as fh:
+        assert json.load(fh) == summary.to_json()
+    assert summary == dataset_summary(dataset)
     if drop_platform:
         with open(os.path.join(bundle_dir, "meta.json"), "w", encoding="utf-8") as fh:
             json.dump({"label": dataset.label}, fh)

@@ -1,5 +1,6 @@
-"""Loading a config (and so every offline command) stays clear of the sinkhole."""
+"""Loading a config: the keys it accepts, and that it (so every offline command) stays clear of the sinkhole."""
 
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +31,16 @@ def test_sinkhole_config_still_importable_from_sinkhole():
     from tvblock import config, sinkhole
 
     assert sinkhole.SinkholeConfig is config.SinkholeConfig
+
+
+def test_sinkhole_section_has_no_match_mode_of_its_own(tmp_path):
+    """The top-level match_mode is the one setting; serve copies it over."""
+    from tvblock.config import load_config
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"match_mode": "exact", "sinkhole": {"match_mode": "suffix"}}))
+    with pytest.raises(ValueError, match=r"unknown sinkhole config keys: \['match_mode'\]"):
+        load_config(str(path))
+    path.write_text(json.dumps({"match_mode": "suffix", "sinkhole": {"blocked_ttl": 5}}))
+    cfg = load_config(str(path))
+    assert cfg.match_mode == "suffix" and cfg.sinkhole.blocked_ttl == 5

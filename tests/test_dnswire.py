@@ -1,6 +1,8 @@
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvblock import dnswire
 from tvblock.dnswire import (
@@ -146,6 +148,16 @@ class TestErrorsAndEdges:
         with pytest.raises(WireError):
             _ = msg.question
 
+    def test_pointer_only_after_the_first_question_name(self):
+        # the first name can point only into the header or forward: malformed
+        type_class = struct.pack(">HH", TYPE_A, 1)
+        header = struct.pack(">HHHHHH", 5, 0x0100, 1, 0, 0, 0)
+        with pytest.raises(WireError):
+            parse_message(header + b"\x01x\xc0\x14" + type_class + encode_name("ads.example.com"))
+        header = struct.pack(">HHHHHH", 5, 0x0100, 2, 0, 0, 0)
+        msg = parse_message(header + encode_name("a.com") + type_class + b"\xc0\x0c" + type_class)
+        assert [q.qname for q in msg.questions] == ["a.com", "a.com"]
+
     def test_parse_answers_with_compression(self):
         query = parse_message(build_query("c.example.com", TYPE_AAAA, txid=11))
         raw = build_response(
@@ -154,3 +166,58 @@ class TestErrorsAndEdges:
         msg = parse_message(raw)
         assert msg.answers[0].address == "::"
         assert isinstance(msg, Message)
+
+
+NAME_WIRE = st.lists(st.binary(min_size=1, max_size=20), min_size=1, max_size=5).map(
+    lambda labels: b"".join(bytes([len(l)]) + l for l in labels) + b"\0"
+)
+ANSWERS = st.lists(
+    st.tuples(
+        st.sampled_from([TYPE_A, TYPE_AAAA, TYPE_TXT]),
+        st.integers(0, 2**31 - 1),
+        st.binary(max_size=200),
+    ),
+    max_size=3,
+).map(tuple)
+
+
+def raw_query(txid, flags, name_wire, qtype, qclass):
+    return struct.pack(">HHHHHH", txid, flags, 1, 0, 0, 0) + name_wire + struct.pack(">HH", qtype, qclass)
+
+
+class TestResponseProperties:
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 0xFFFF), st.integers(0, 0xFFFF), NAME_WIRE, st.integers(0, 0xFFFF),
+        st.integers(0, 0xFFFF), st.sampled_from([0, 2, 3]), ANSWERS,
+    )
+    def test_parsed_query_round_trips_question_bytes_and_txid(
+        self, txid, flags, name_wire, qtype, qclass, rcode, answers
+    ):
+        data = raw_query(txid, flags, name_wire, qtype, qclass)
+        query = parse_message(data)
+        raw = build_response(query, rcode=rcode, answers=answers)
+        msg = parse_message(raw)
+        assert msg.header.txid == txid and msg.header.qr
+        assert msg.header.rd == query.header.rd
+        assert msg.question == query.question
+        assert raw[12:12 + len(data) - 12] == data[12:]  # the question as sent
+        assert len(raw) <= dnswire.MAX_UDP_PAYLOAD
+        if not msg.header.tc:
+            assert [(a.rtype, a.ttl, a.rdata) for a in msg.answers] == list(answers)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 0xFFFF),
+        st.lists(st.text("abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=20),
+                 min_size=1, max_size=5).map(".".join),
+        st.integers(0, 0xFFFF),
+        st.integers(0, 0xFFFF),
+        ANSWERS,
+    )
+    def test_encoded_question_round_trips(self, txid, qname, qtype, qclass, answers):
+        query = Message(dnswire.parse_header(build_query(qname, qtype, txid)),
+                        (dnswire.Question(qname, qtype, qclass),))
+        msg = parse_message(build_response(query, answers=answers))
+        assert msg.header.txid == txid
+        assert msg.question == dnswire.Question(qname, qtype, qclass)

@@ -9,6 +9,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvblock import dnswire, sinkhole
 from tvblock.blocklists import BlockList
@@ -860,3 +862,129 @@ class TestUpstreamSocketErrors:
         sock = FailingSocket(OSError(code, os.strerror(code)))
         service._on_reply(sock)  # returns at BlockingIOError, raises nothing
         assert sock.errors == []
+
+
+def raw_query(name_wire, qtype=dnswire.TYPE_A, txid=0x3131, flags=0x0100):
+    """A one-question query whose name is given as wire bytes."""
+    return (struct.pack(">HHHHHH", txid, flags, 1, 0, 0, 0) + name_wire
+            + struct.pack(">HH", qtype, dnswire.CLASS_IN))
+
+
+class TestEchoedQuestion:
+    """A blocked answer echoes the question section as sent, so a label may
+    hold any byte, a "." or a non-ASCII one included."""
+
+    @pytest.mark.parametrize("label", [b"x\xff", b"a.b"], ids=["non-ascii", "dot"])
+    def test_odd_label_under_a_blocked_name_is_answered(self, tmp_path, label):
+        upstream = MockUpstream()
+        cfg = make_config(
+            upstream.address, match_mode="suffix", query_log_path=str(tmp_path / "log.jsonl")
+        )
+        service = serve(cfg, [BLOCKED])
+        query = raw_query(bytes([len(label)]) + label + dnswire.encode_name("ads.example.com"))
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                client.settimeout(2)
+                client.sendto(query, service.address)
+                data, _ = client.recvfrom(4096)
+            assert data[12:len(query)] == query[12:]
+            msg = dnswire.parse_message(data)
+            assert msg.header.txid == 0x3131 and msg.header.rcode == dnswire.RCODE_NOERROR
+            assert [a.address for a in msg.answers] == ["0.0.0.0"]
+            assert service.stats()["total"] == 1
+        finally:
+            service.stop()
+            upstream.close()
+        entries = read_log(cfg.query_log_path)
+        assert [(e["verdict"], e["blocked_by"]) for e in entries] == [("blocked", ["L"])]
+        assert upstream.seen == []
+
+
+class TestSinkholeMatchMode:
+    def test_unknown_match_mode_rejected(self):
+        cfg = SinkholeConfig(active_lists=("L",), match_mode="sufix")
+        with pytest.raises(ValueError, match="match_mode"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="match_mode"):
+            Sinkhole(make_config(("127.0.0.1", 5399), match_mode="sufix"), [BLOCKED])
+
+
+# Any label bytes, with a "." byte, a non-ASCII byte and upper case among them.
+ODD_LABEL = st.one_of(st.binary(min_size=1, max_size=12), st.sampled_from([b"a.b", b"\xff", b"X"]))
+PREFIX = st.lists(ODD_LABEL, max_size=3).map(lambda ls: b"".join(bytes([len(l)]) + l for l in ls))
+QTYPE = st.one_of(
+    st.sampled_from([dnswire.TYPE_A, dnswire.TYPE_AAAA, dnswire.TYPE_MX, dnswire.TYPE_TXT]),
+    st.integers(0, 0xFFFF),
+)
+
+
+@st.composite
+def datagrams(draw):
+    """Random bytes, or a valid query truncated or bit-flipped."""
+    kind = draw(st.sampled_from(["random", "truncated", "flipped"]))
+    if kind == "random":
+        return draw(st.binary(max_size=80))
+    name = draw(st.sampled_from(["ads.example.com", "fine.example.org", "x.trk.example.net"]))
+    base = raw_query(draw(PREFIX) + dnswire.encode_name(name), draw(QTYPE),
+                     draw(st.integers(0, 0xFFFF)), draw(st.integers(0, 0xFFFF)))
+    if kind == "truncated":
+        return base[:draw(st.integers(0, len(base) - 1))]
+    data = bytearray(base)
+    for bit in draw(st.lists(st.integers(0, len(base) * 8 - 1), min_size=1, max_size=4)):
+        data[bit // 8] ^= 1 << (bit % 8)
+    return bytes(data)
+
+
+class TestRespondProperties:
+    """respond() is the whole per-datagram decision; these hold for any input."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(datagrams(), st.sampled_from(["exact", "suffix"]),
+           st.sampled_from(["null", "nxdomain"]))
+    def test_every_datagram_gets_exactly_one_answer(self, data, match_mode, blocking_mode):
+        cfg = make_config(("127.0.0.1", 5399), match_mode=match_mode, blocking_mode=blocking_mode)
+        outcome = sinkhole.respond(data, [BLOCKED], cfg)
+        assert (outcome.response is None) == (outcome.verdict == "forwarded")
+        if outcome.response is None:
+            assert data[12:12 + len(outcome.question)].lower() == outcome.question != b""
+            return
+        response = outcome.response
+        assert response[:2] == data[:2].ljust(2, b"\0") and response[2] & 0x80  # txid, QR
+        if outcome.verdict == "blocked":
+            assert outcome.blocked_by == {"L"}
+            msg = dnswire.parse_message(response)
+            assert msg.question == dnswire.parse_message(data).question
+            assert msg.header.rcode in (dnswire.RCODE_NOERROR, dnswire.RCODE_NXDOMAIN)
+        else:
+            assert outcome.verdict == "upstream_error"
+            assert dnswire.parse_header(response).rcode == dnswire.RCODE_FORMERR
+
+    @settings(deadline=None)
+    @given(PREFIX, st.sampled_from(["ads.example.com", "ADS.Example.COM", "trk.example.net"]),
+           QTYPE, st.sampled_from(["null", "nxdomain"]), st.integers(0, 2**31 - 1),
+           st.integers(0, 0xFFFF), st.booleans())
+    def test_blocked_answer_follows_mode_and_qtype(
+        self, prefix, name, qtype, blocking_mode, ttl, txid, rd
+    ):
+        query = raw_query(prefix + dnswire.encode_name(name), qtype, txid, 0x0100 if rd else 0)
+        cfg = make_config(("127.0.0.1", 5399), match_mode="suffix",
+                          blocking_mode=blocking_mode, blocked_ttl=ttl)
+        outcome = sinkhole.respond(query, [BLOCKED], cfg)
+        assert outcome.verdict == "blocked" and outcome.blocked_by == {"L"}
+        assert outcome.qtype == dnswire.type_name(qtype)
+        assert outcome.qname.endswith(name.lower())
+        assert outcome.response[12:len(query)] == query[12:]
+        msg = dnswire.parse_message(outcome.response)
+        assert msg.header.txid == txid and msg.header.qr and msg.header.rd == rd
+        assert msg.question == dnswire.parse_message(query).question
+        records = [(a.rtype, a.ttl, a.address) for a in msg.answers]
+        if blocking_mode == "nxdomain":
+            assert msg.header.rcode == dnswire.RCODE_NXDOMAIN and records == []
+            return
+        assert msg.header.rcode == dnswire.RCODE_NOERROR
+        if qtype == dnswire.TYPE_A:
+            assert records == [(dnswire.TYPE_A, ttl, "0.0.0.0")]
+        elif qtype == dnswire.TYPE_AAAA:
+            assert records == [(dnswire.TYPE_AAAA, ttl, "::")]
+        else:
+            assert records == []
