@@ -2,8 +2,7 @@
 
 Parses the 12-byte header, the question section, and resource records
 (with compression-pointer support, which responses need). Builds queries
-and synthesized responses; a response to a parsed query echoes its
-question bytes. Anything beyond single-question UDP messages is
+and synthesized responses. Anything beyond single-question UDP messages is
 out of scope; the server answers multi-question queries with FORMERR.
 """
 
@@ -11,7 +10,7 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 TYPE_A = 1
 TYPE_NS = 2
@@ -57,20 +56,18 @@ class WireError(ValueError):
 
 @dataclass(frozen=True)
 class Header:
-    """The 12-byte header; a builder names only the fields it sets."""
-
     txid: int
-    qr: bool = False
-    opcode: int = 0
-    aa: bool = False
-    tc: bool = False
-    rd: bool = False
-    ra: bool = False
-    rcode: int = 0
-    qdcount: int = 0
-    ancount: int = 0
-    nscount: int = 0
-    arcount: int = 0
+    qr: bool
+    opcode: int
+    aa: bool
+    tc: bool
+    rd: bool
+    ra: bool
+    rcode: int
+    qdcount: int
+    ancount: int
+    nscount: int
+    arcount: int
 
     def pack(self) -> bytes:
         flags = (
@@ -97,8 +94,8 @@ class Header:
 class Question:
     qname: str
     qtype: int
-    qclass: int = CLASS_IN
-    wire: bytes = field(default=b"", compare=False)  # name, type, class as received; b"" if built
+    qclass: int
+    wire: bytes = field(compare=False)  # the name, type and class bytes as received
 
 
 @dataclass(frozen=True)
@@ -149,8 +146,7 @@ def encode_name(name: str) -> bytes:
 
 
 def decode_name(data: bytes, offset: int, pointers: bool = True) -> tuple[str, int]:
-    """Decode a possibly-compressed name; returns (name, next_offset). With
-    ``pointers`` false, a compression pointer is a WireError."""
+    """Decode a name, following compression pointers only if ``pointers``; returns (name, end)."""
     labels = []
     jumps = 0
     end = None
@@ -211,6 +207,8 @@ def parse_message(data: bytes) -> Message:
         start = offset
         # Only the header precedes the first name, so a pointer there names nothing.
         qname, offset = decode_name(data, offset, pointers=bool(questions))
+        if offset - start > 255:
+            raise WireError("name longer than 255 octets")
         if offset + 4 > len(data):
             raise WireError("truncated question")
         qtype, qclass = struct.unpack(">HH", data[offset:offset + 4])
@@ -240,7 +238,20 @@ def parse_message(data: bytes) -> Message:
 
 
 def build_query(qname: str, qtype: int, txid: int, rd: bool = True) -> bytes:
-    header = Header(txid=txid, rd=rd, qdcount=1)
+    header = Header(
+        txid=txid,
+        qr=False,
+        opcode=0,
+        aa=False,
+        tc=False,
+        rd=rd,
+        ra=False,
+        rcode=0,
+        qdcount=1,
+        ancount=0,
+        nscount=0,
+        arcount=0,
+    )
     return header.pack() + encode_name(qname) + struct.pack(">HH", qtype, CLASS_IN)
 
 
@@ -251,25 +262,26 @@ def build_response(
 ) -> bytes:
     """Synthesize a response to a single-question query.
 
-    The question section is the query's own bytes when it was parsed, so it
-    echoes the question as sent; a hand-made Question is encoded. ``answers``
-    entries are (rtype, ttl, rdata) for the question name; the name is
-    emitted as a compression pointer to the question. QR and RA are set, RD
-    copied from the query.
+    The question section echoes the query's as sent. ``answers`` entries are
+    (rtype, ttl, rdata) for the question name; the name is emitted as a
+    compression pointer to the question. QR and RA are set, RD copied.
     """
-    q = query.question
     header = Header(
         txid=query.header.txid,
         qr=True,
         opcode=query.header.opcode,
+        aa=False,
+        tc=False,
         rd=query.header.rd,
         ra=True,
         rcode=rcode,
         qdcount=1,
         ancount=len(answers),
+        nscount=0,
+        arcount=0,
     )
     out = bytearray(header.pack())
-    out += q.wire or encode_name(q.qname) + struct.pack(">HH", q.qtype, q.qclass)
+    out += query.question.wire
     for rtype, ttl, rdata in answers:
         out += b"\xc0\x0c"  # pointer to the question name
         out += struct.pack(">HHIH", rtype, CLASS_IN, ttl, len(rdata))
@@ -288,9 +300,15 @@ def build_error_response(data: bytes, rcode: int) -> bytes:
         txid=header.txid,
         qr=True,
         opcode=header.opcode,
+        aa=False,
+        tc=False,
         rd=header.rd,
         ra=True,
         rcode=rcode,
+        qdcount=0,
+        ancount=0,
+        nscount=0,
+        arcount=0,
     )
     return reply.pack()
 
@@ -308,7 +326,20 @@ def truncate_for_udp(data: bytes, limit: int = MAX_UDP_PAYLOAD) -> bytes:
     for _ in range(header.qdcount):
         _, offset = decode_name(data, offset)
         offset += 4
-    flags_hdr = replace(header, qr=True, tc=True, ancount=0, nscount=0, arcount=0)
+    flags_hdr = Header(
+        txid=header.txid,
+        qr=True,
+        opcode=header.opcode,
+        aa=header.aa,
+        tc=True,
+        rd=header.rd,
+        ra=header.ra,
+        rcode=header.rcode,
+        qdcount=header.qdcount,
+        ancount=0,
+        nscount=0,
+        arcount=0,
+    )
     return flags_hdr.pack() + data[12:offset]
 
 

@@ -57,13 +57,8 @@ class Outcome(NamedTuple):
 
 
 def respond(data: bytes, lists: Sequence[BlockList], cfg: SinkholeConfig) -> Outcome:
-    """Decide one query datagram under a list snapshot. No I/O, no clock.
-
-    A datagram that is not one parsable question gets FORMERR (logged as
-    "upstream_error"). A name any list blocks gets ``answer_blocked``; any
-    other query is forwarded. The question is parsed once, and its bytes as
-    sent are what the blocked answer echoes and a forwarded reply must match.
-    """
+    """Decide one query datagram under a list snapshot; no I/O, no clock. FORMERR without one
+    parsable question, ``answer_blocked`` (the question echoed as sent) if blocked, else forward."""
     try:
         query = dnswire.parse_message(data)
         question = query.question
@@ -103,8 +98,7 @@ def answer_blocked(query: dnswire.Message, cfg: SinkholeConfig) -> bytes:
 
 def _is_reply(reply: bytes, txid: int, question: bytes) -> bool:
     """Whether ``reply`` answers the upstream query sent with this txid and
-    ``question`` (its question section, lowercased): the reply carries the
-    same section, its name in any case."""
+    ``question`` (its question section, lowercased), its name in any case."""
     return (reply[:2] == txid.to_bytes(2, "big") and reply[4:6] != b"\0\0"
             and reply[12:12 + len(question)].lower() == question)
 
@@ -116,12 +110,11 @@ def forward(
 ) -> Optional[bytes]:
     """Relay a query upstream and return the reply with the client's txid.
 
-    ``raw_query`` must hold one parsable question. The upstream exchange
-    uses a random transaction id on a fresh socket connected to the
-    upstream, so datagrams from any other source are dropped. Replies that
-    fail ``_is_reply`` are skipped until the timeout. The accepted reply is
-    relayed verbatim apart from restoring the client's id. Returns None on
-    timeout. Blocking, one socket per call: the service's loop does not use it.
+    The upstream exchange uses a random transaction id on a fresh socket connected to the
+    upstream, so datagrams from any other source are dropped. Replies that fail ``_is_reply``
+    are skipped until the timeout. The accepted reply is relayed verbatim apart from restoring
+    the client's id. Returns None on timeout; a query without one question raises WireError.
+    Blocking, one socket per call: the service's loop does not use it.
     """
     client_txid = int.from_bytes(raw_query[:2], "big")
     upstream_txid = secrets.randbits(16)

@@ -899,6 +899,32 @@ class TestEchoedQuestion:
         assert [(e["verdict"], e["blocked_by"]) for e in entries] == [("blocked", ["L"])]
         assert upstream.seen == []
 
+    def test_name_over_255_octets_gets_formerr(self, tmp_path):
+        # Echoed, such a question would make a blocked answer past 512 bytes.
+        upstream = MockUpstream()
+        cfg = make_config(
+            upstream.address, match_mode="suffix", query_log_path=str(tmp_path / "log.jsonl")
+        )
+        service = serve(cfg, [BLOCKED])
+        name_wire = (b"\x3f" + b"x" * 63) * 5 + dnswire.encode_name("ads.example.com")
+        assert len(name_wire) > 300
+        query = raw_query(name_wire)
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                client.settimeout(2)
+                client.sendto(query, service.address)
+                data, _ = client.recvfrom(4096)
+            header = dnswire.parse_header(data)
+            assert len(data) == 12 and header.txid == 0x3131
+            assert header.rcode == dnswire.RCODE_FORMERR
+            assert service.stats()["total"] == 1
+        finally:
+            service.stop()
+            upstream.close()
+        entries = read_log(cfg.query_log_path)
+        assert [(e["verdict"], e["qname"]) for e in entries] == [("upstream_error", "")]
+        assert upstream.seen == []
+
 
 class TestSinkholeMatchMode:
     def test_unknown_match_mode_rejected(self):
