@@ -57,8 +57,8 @@ class Outcome(NamedTuple):
 
 
 def respond(data: bytes, lists: Sequence[BlockList], cfg: SinkholeConfig) -> Outcome:
-    """Decide one query datagram under a list snapshot; no I/O, no clock. FORMERR without one
-    parsable question, ``answer_blocked`` (the question echoed as sent) if blocked, else forward."""
+    """Decide one query datagram under a list snapshot; no I/O, no clock. Without one parsable
+    question: FORMERR. Blocked: ``answer_blocked``, echoing the question as sent. Else: forward."""
     try:
         query = dnswire.parse_message(data)
         question = query.question
