@@ -86,7 +86,11 @@ def _read_bundle_log(path: str, build, what: str):
     Skipped lines in an otherwise good file get one warning with their count.
     """
     errors: list[MalformedLine] = []
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    with fh:
         try:
             yield from iter_jsonl(fh, build, what, errors)
         except (LogParseError, UnicodeDecodeError) as exc:
@@ -255,6 +259,9 @@ def cmd_ingest(args) -> int:
         return EXIT_CONFIG
     except UnicodeDecodeError as exc:
         print(f"error: {path} is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     for what, errors in (("flows", flows.errors), ("http", http_errors)):
         for err in errors:

@@ -3,16 +3,18 @@
 Blocked names answer 0.0.0.0 (A) / :: (AAAA) with a short TTL, or NXDOMAIN
 when configured; everything else is relayed to the upstream resolver. Every
 query produces one append-only JSONL log entry. The active blocklists are
-an immutable snapshot swapped atomically on reload; each query is decided
-under the snapshot current when it is read, by ``respond``, which does no I/O.
+an immutable snapshot swapped atomically on reload.
 
-One thread serves DNS from one ``selectors`` loop over the listen socket and
-a small pool of UDP sockets connected to the upstream. Each forwarded query
-leaves from a pool socket picked at random, with a random transaction id, and
-waits in a table keyed by (socket, id) until its reply or its deadline. So a
-forged reply must guess the source port as well as the id. Pool sockets are
-replaced as they serve, so no source port lasts long. The table holds at most
-MAX_PENDING queries; one more is shed: SERVFAIL at once.
+Three parts. ``respond`` decides one query datagram under the snapshot
+current when it is read. A ``Forwarder`` holds what waits on the upstream:
+each forwarded query leaves from a pool socket picked at random, with a
+random transaction id, and waits in a table keyed by (socket, id) until its
+reply or its deadline. So a forged reply must guess the source port as well
+as the id. The table holds at most MAX_PENDING queries; one more is shed:
+SERVFAIL at once. Neither part does I/O or reads a clock. The third, the
+``Sinkhole``'s one ``selectors`` loop on one thread, does: it reads the
+listen socket and the pool of UDP sockets connected to the upstream, sends,
+logs, and replaces pool sockets as they serve, so no source port lasts long.
 """
 
 from __future__ import annotations
@@ -103,6 +105,74 @@ def _is_reply(reply: bytes, txid: int, question: bytes) -> bool:
             and reply[12:12 + len(question)].lower() == question)
 
 
+def _servfail(query: bytes, client, started: int, outcome: Outcome) -> tuple:
+    """The answer to a forwarded query that was shed or not answered in time."""
+    servfail = dnswire.build_error_response(query, dnswire.RCODE_SERVFAIL)
+    return client, started, servfail, outcome._replace(verdict="upstream_error")
+
+
+class Forwarder:
+    """The queries waiting on the upstream, and the one rule that answers them.
+
+    No I/O and no clock: a slot is an upstream socket used only as a key, and
+    each call that needs the time is given ``now``, in ns of a monotonic clock.
+    An answer is a tuple (client, started, response, Outcome), the query's
+    ``started`` being the ``now`` it was submitted at.
+    """
+
+    def __init__(self, timeout_ms: int, slots: Sequence = ()):
+        self.timeout_ns = timeout_ms * 1_000_000
+        self.slots = list(slots)  # the pool new queries leave from
+        # (slot, txid) -> (deadline, query, client, started, Outcome). With one timeout
+        # for all, insertion order is deadline order. OrderedDict: finding a plain dict's
+        # first key slows as entries are deleted.
+        self.pending: OrderedDict[tuple, tuple] = OrderedDict()
+        self.retired: deque[tuple[int, object]] = deque()  # (close time, slot), oldest first
+
+    def submit(self, outcome: Outcome, query: bytes, client, now: int) -> Optional[tuple]:
+        """Queue a query respond() forwards: (slot, the datagram to send on it),
+        or None when MAX_PENDING queries wait. A None query is shed, not queued."""
+        if len(self.pending) >= MAX_PENDING:
+            return None
+        slot = secrets.choice(self.slots)
+        txid = secrets.randbits(16)
+        while (slot, txid) in self.pending:
+            txid = secrets.randbits(16)
+        self.pending[slot, txid] = (now + self.timeout_ns, query, client, now, outcome)
+        return slot, dnswire.set_txid(query, txid)
+
+    def on_reply(self, slot, reply: bytes) -> Optional[tuple]:
+        """The answer a datagram read on ``slot`` gives: the reply relayed verbatim
+        with the client's txid, or None when it answers no pending query."""
+        key = (slot, int.from_bytes(reply[:2], "big"))
+        entry = self.pending.get(key)
+        if entry is None or not _is_reply(reply, key[1], entry[4].question):
+            return None
+        del self.pending[key]
+        _, query, client, started, outcome = entry
+        return client, started, dnswire.set_txid(reply, int.from_bytes(query[:2], "big")), outcome
+
+    def rotate(self, fresh_slot, now: int) -> None:
+        """Add a slot to the pool and retire the oldest. expire() hands that one
+        back to close when every query sent from it is past its deadline."""
+        self.slots.append(fresh_slot)
+        self.retired.append((now + self.timeout_ns, self.slots.pop(0)))
+
+    def expire(self, now: int) -> tuple[list, list]:
+        """(retired slots to close, SERVFAIL answers to the queries past their deadline)."""
+        closing = []
+        while self.retired and self.retired[0][0] <= now:
+            closing.append(self.retired.popleft()[1])
+        servfails = []
+        while self.pending and self.next_deadline() <= now:
+            servfails.append(_servfail(*self.pending.popitem(last=False)[1][1:]))
+        return closing, servfails
+
+    def next_deadline(self) -> Optional[int]:
+        """The earliest deadline of a pending query, or None when none waits."""
+        return next(iter(self.pending.values()))[0] if self.pending else None
+
+
 def forward(
     raw_query: bytes,
     upstream: tuple[str, int],
@@ -110,30 +180,25 @@ def forward(
 ) -> Optional[bytes]:
     """Relay a query upstream and return the reply with the client's txid.
 
-    The upstream exchange uses a random transaction id on a fresh socket connected to the
-    upstream, so datagrams from any other source are dropped. Replies that fail ``_is_reply``
-    are skipped until the timeout. The accepted reply is relayed verbatim apart from restoring
-    the client's id. Returns None on timeout; a query without one question raises WireError.
-    Blocking, one socket per call: the service's loop does not use it.
+    A blocking shell over a one-slot ``Forwarder``, on a fresh socket connected to the
+    upstream, so datagrams from any other source are dropped. Replies the Forwarder does not
+    accept are skipped until the deadline. Returns None on timeout; a query without one
+    question raises WireError. The service's loop does not use it.
     """
-    client_txid = int.from_bytes(raw_query[:2], "big")
-    upstream_txid = secrets.randbits(16)
-    request = dnswire.set_txid(raw_query, upstream_txid)
     question = dnswire.parse_message(raw_query).question.wire.lower()
-    deadline = time.monotonic() + timeout_ms / 1000.0
+    outcome = Outcome(None, "forwarded", question=question)
     try:
         with _upstream_socket(upstream) as sock:
-            sock.send(request)
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                sock.settimeout(remaining)
-                reply = sock.recv(4096)
-                if _is_reply(reply, upstream_txid, question):
-                    return dnswire.set_txid(reply, client_txid)
+            forwarder = Forwarder(timeout_ms, [sock])
+            sock.send(forwarder.submit(outcome, raw_query, None, time.monotonic_ns())[1])
+            while not forwarder.expire(now := time.monotonic_ns())[1]:
+                sock.settimeout((forwarder.next_deadline() - now) / 1e9)
+                answer = forwarder.on_reply(sock, sock.recv(4096))
+                if answer:
+                    return answer[2]
     except OSError:  # socket.timeout included
-        return None
+        pass
+    return None
 
 
 def _upstream_socket(upstream: tuple[str, int]) -> socket.socket:
@@ -180,7 +245,7 @@ class Sinkhole:
     and closes upstream sockets. stop() stops reading queries, lets in-flight
     forwards end, then closes all. set_lists() swaps the active blocklist
     snapshot atomically. Only the loop thread writes the counters, the
-    pending table and the log, so nothing is locked.
+    Forwarder and the log, so nothing is locked.
     """
 
     def __init__(self, cfg: SinkholeConfig, lists: Sequence[BlockList]):
@@ -194,19 +259,13 @@ class Sinkhole:
             known[n] for n in cfg.active_lists
         )
         self._sock: Optional[socket.socket] = None
-        self._upstreams: list[socket.socket] = []  # the pool new queries leave from
-        # Replaced pool sockets, (close time in ns, socket), kept open for late replies.
-        self._retired: deque[tuple[int, socket.socket]] = deque()
+        self._forwarder = Forwarder(cfg.upstream_timeout_ms)  # its slots: the upstream sockets
         self._sel: Optional[selectors.BaseSelector] = None
         self._sent = 0  # forwarded queries sent, for replacing pool sockets
         self._stats_sock: Optional[socket.socket] = None
         self._log_fh = None
         self._threads: list[threading.Thread] = []
         self._running = threading.Event()
-        # (upstream socket, txid) -> (deadline_ns, raw query, client address, started_ns,
-        # respond()'s Outcome). With one timeout for all, insertion order is deadline order.
-        # OrderedDict: finding a plain dict's first key slows as entries are deleted.
-        self._pending: OrderedDict[tuple[socket.socket, int], tuple] = OrderedDict()
         self._counters = {
             "total": 0,
             "blocked": 0,
@@ -227,7 +286,7 @@ class Sinkhole:
             self._sock.setblocking(False)
             with _or_bind_failure(f"connect to {cfg.upstream_resolver}"):
                 for _ in range(_UPSTREAMS):
-                    self._upstreams.append(_upstream_socket(cfg.upstream))
+                    self._forwarder.slots.append(_upstream_socket(cfg.upstream))
             if cfg.stats_address:
                 address = parse_hostport(cfg.stats_address, "stats_address")
                 self._stats_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -238,14 +297,14 @@ class Sinkhole:
                 self._stats_sock.settimeout(_POLL_S)
             if cfg.query_log_path:
                 self._log_fh = open(cfg.query_log_path, "a", encoding="utf-8")
-        except BaseException:
-            self._close()
+            self._running.set()
+            self._spawn("tvblock-dns", self._serve)
+            if self._stats_sock:
+                self._spawn("tvblock-stats", self._stats_loop)
+            log.info("sinkhole listening on %s", self.address)
+        except BaseException:  # a KeyboardInterrupt too: end the threads, close all
+            self.stop()
             raise
-        self._running.set()
-        self._spawn("tvblock-dns", self._serve)
-        if self._stats_sock:
-            self._spawn("tvblock-stats", self._stats_loop)
-        log.info("sinkhole listening on %s", self.address)
 
     def _spawn(self, name: str, target) -> None:
         thread = threading.Thread(target=target, name=name, daemon=True)
@@ -260,13 +319,12 @@ class Sinkhole:
         self._close()
 
     def _close(self) -> None:
-        retired = [sock for _, sock in self._retired]
-        for sock in (self._sock, self._stats_sock, *self._upstreams, *retired):
+        retired = [sock for _, sock in self._forwarder.retired]
+        for sock in (self._sock, self._stats_sock, *self._forwarder.slots, *retired):
             if sock:
                 sock.close()
         self._sock = self._stats_sock = None
-        self._upstreams.clear()
-        self._retired.clear()
+        self._forwarder = Forwarder(self.cfg.upstream_timeout_ms)
         if self._log_fh:
             try:
                 self._log_fh.close()
@@ -297,21 +355,30 @@ class Sinkhole:
     def stats(self) -> dict:
         """The counters, read without a lock while the loop runs: "total" may
         briefly trail the verdict counts, never lead them."""
-        return {**self._counters, "pending": len(self._pending)}
+        return {**self._counters, "pending": len(self._forwarder.pending)}
 
     # -- serving -------------------------------------------------------
 
     def _serve(self) -> None:
-        """The event loop. It alone touches the DNS sockets and the log."""
+        """The event loop. It alone touches the DNS sockets, the Forwarder and the log."""
+        forwarder = self._forwarder
         with selectors.DefaultSelector() as sel:
             self._sel = sel
             sel.register(self._sock, selectors.EVENT_READ)
-            for sock in self._upstreams:
+            for sock in forwarder.slots:
                 sel.register(sock, selectors.EVENT_READ)
             listening = True
-            while listening or self._pending:
-                wait = self._expire(time.monotonic_ns())
-                for key, _ in sel.select(min(wait, _POLL_S)):
+            while listening or forwarder.pending:
+                now = time.monotonic_ns()
+                closing, servfails = forwarder.expire(now)
+                for sock in closing:
+                    sel.unregister(sock)
+                    sock.close()
+                for answer in servfails:
+                    self._answer(*answer)
+                deadline = forwarder.next_deadline()
+                wait = _POLL_S if deadline is None else min((deadline - now) / 1e9, _POLL_S)
+                for key, _ in sel.select(wait):
                     try:
                         if key.fileobj is self._sock:
                             self._on_query()
@@ -333,34 +400,24 @@ class Sinkhole:
             outcome = respond(data, self._lists, self.cfg)
             if outcome.response is not None:
                 self._answer(addr, started, outcome.response, outcome)
-            elif len(self._pending) >= MAX_PENDING:
+            elif (sent := self._forwarder.submit(outcome, data, addr, started)) is None:
                 self._counters["shed"] += 1
-                servfail = dnswire.build_error_response(data, dnswire.RCODE_SERVFAIL)
-                self._answer(addr, started, servfail, outcome._replace(verdict="upstream_error"))
+                self._answer(*_servfail(data, addr, started, outcome))
             else:
-                sock = secrets.choice(self._upstreams)
-                txid = secrets.randbits(16)
-                while (sock, txid) in self._pending:
-                    txid = secrets.randbits(16)
-                deadline = started + self.cfg.upstream_timeout_ms * 1_000_000
-                self._pending[sock, txid] = (deadline, data, addr, started, outcome)
-                _send(sock, dnswire.set_txid(data, txid))
+                _send(*sent)
                 self._sent += 1
                 if self._sent % _REOPEN_EVERY == 0:
                     self._reopen()
 
     def _reopen(self) -> None:
-        """Replace the oldest pool socket with one on a fresh source port. The old
-        one is closed once every query sent from it is past its deadline."""
+        """Replace the oldest pool socket with one on a fresh source port."""
         try:
             fresh = _upstream_socket(self.cfg.upstream)
         except OSError as exc:
             log.warning("cannot open a new upstream socket: %s", exc)
             return
         self._sel.register(fresh, selectors.EVENT_READ)
-        self._upstreams.append(fresh)
-        close_at = time.monotonic_ns() + self.cfg.upstream_timeout_ms * 1_000_000
-        self._retired.append((close_at, self._upstreams.pop(0)))
+        self._forwarder.rotate(fresh, time.monotonic_ns())
 
     def _on_reply(self, sock: socket.socket) -> None:
         for _ in range(_BATCH):
@@ -370,31 +427,9 @@ class Sinkhole:
                 return
             except OSError:
                 continue  # an ICMP error from the upstream; queries wait out their deadline
-            key = (sock, int.from_bytes(reply[:2], "big"))
-            pending = self._pending.get(key)
-            if pending is None or not _is_reply(reply, key[1], pending[4].question):
-                continue
-            del self._pending[key]
-            _, data, addr, started, outcome = pending
-            response = dnswire.set_txid(reply, int.from_bytes(data[:2], "big"))
-            self._answer(addr, started, response, outcome)
-
-    def _expire(self, now: int) -> float:
-        """Close retired sockets that are done, SERVFAIL every query past its
-        deadline, and return seconds to the next deadline."""
-        while self._retired and self._retired[0][0] <= now:
-            sock = self._retired.popleft()[1]
-            self._sel.unregister(sock)
-            sock.close()
-        while self._pending:
-            key = next(iter(self._pending))
-            deadline, data, addr, started, outcome = self._pending[key]
-            if deadline > now:
-                return (deadline - now) / 1e9
-            del self._pending[key]
-            servfail = dnswire.build_error_response(data, dnswire.RCODE_SERVFAIL)
-            self._answer(addr, started, servfail, outcome._replace(verdict="upstream_error"))
-        return _POLL_S
+            answer = self._forwarder.on_reply(sock, reply)
+            if answer:
+                self._answer(*answer)
 
     def _answer(self, addr, started: int, response: bytes, outcome: Outcome) -> None:
         """Count the query, log it, then answer. So a client holding its answer

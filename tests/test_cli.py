@@ -669,6 +669,39 @@ class TestIngestNotUtf8:
         assert not out.exists()
 
 
+class TestUnreadableInput:
+    """An input that cannot be opened, such as a directory, is a configuration
+    error (exit 2) that names it, not a traceback, and no output is written."""
+
+    @pytest.mark.parametrize("flag", ["--flows", "--http"])
+    def test_ingest_exits_2(self, tmp_path, capsys, flag):
+        flows = tmp_path / "flows.jsonl"
+        flows.write_text(TestIngestHttpWarnings.FLOWS)
+        inputs = {"--flows": str(flows), flag: str(tmp_path)}
+        out = tmp_path / "b"
+        code, stdout, err = run(
+            capsys, "ingest", *(x for pair in inputs.items() for x in pair), "--out", str(out)
+        )
+        assert code == 2
+        assert f"error: cannot read {tmp_path}: " in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_bundle_log_exits_2(self, roku_bundle, tmp_path, capsys):
+        flows = roku_bundle / "flows.jsonl"
+        flows.unlink()
+        flows.mkdir()
+        out = tmp_path / "cls"
+        code, stdout, err = run(
+            capsys, "classify", "--bundle", str(roku_bundle), "--config", CORPUS_CONFIG,
+            "--out", str(out),
+        )
+        assert code == 2
+        assert f"error: cannot read {flows}: " in err
+        assert stdout == ""
+        assert not out.exists()
+
+
 class TestServeStartFailure:
     def test_unconnectable_upstream_exits_2(self, capsys):
         code, _, err = run(

@@ -502,6 +502,32 @@ class TestStartFailure:
             Sinkhole(cfg, [BLOCKED]).start()
         assert set(threading.enumerate()) <= before
 
+    def test_interrupt_after_the_loop_starts_stops_it(self, monkeypatch):
+        """A KeyboardInterrupt while start() spawns the stats thread ends the
+        loop thread it started and frees the DNS port: serve() returns no
+        handle that could stop them."""
+        real_spawn = Sinkhole._spawn
+
+        def spawn(service, name, target):
+            if service._threads:
+                raise KeyboardInterrupt
+            real_spawn(service, name, target)
+
+        monkeypatch.setattr(Sinkhole, "_spawn", spawn)
+        upstream = MockUpstream()
+        port = free_udp_port()
+        cfg = make_config(
+            upstream.address, listen_address=f"127.0.0.1:{port}", stats_address="127.0.0.1:0"
+        )
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                serve(cfg, [BLOCKED])
+            assert not [t for t in threading.enumerate() if t.name.startswith("tvblock-")]
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as again:
+                again.bind(("127.0.0.1", port))
+        finally:
+            upstream.close()
+
     def test_stop_ends_every_thread(self):
         upstream = MockUpstream()
         before = set(threading.enumerate())
