@@ -27,6 +27,7 @@ from .party import (
     load_platform_processes,
 )
 from .traffic import (
+    KNOWN_PLATFORMS,
     Dataset,
     DatasetSummary,
     FlowRecord,
@@ -39,6 +40,7 @@ from .traffic import (
     iter_jsonl,
     parse_flow_log,
     parse_http_log,
+    read_jsonl,
 )
 
 log = logging.getLogger("tvblock")
@@ -47,7 +49,7 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
-PLATFORM_CHOICES = ["roku", "firetv", "apple", "samsung", "chromecast", "vizio", "lg", "sony"]
+PLATFORM_CHOICES = [name.lower() for name in KNOWN_PLATFORMS]
 
 
 class CliError(Exception):
@@ -111,11 +113,19 @@ def load_bundle(bundle_dir: str, keep_transactions: bool = False) -> Dataset:
     label = os.path.basename(os.path.normpath(bundle_dir))
     platform = None
     if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        label = meta.get("label", label)
-        if meta.get("platform"):
-            platform = Platform.parse(meta["platform"])
+        try:
+            with open(meta_path, encoding="utf-8") as fh:
+                meta = json.load(fh)
+            if not isinstance(meta, dict):
+                raise ValueError("not a JSON object")
+            label, name = meta.get("label", label), meta.get("platform") or None
+            if not isinstance(label, str) or not isinstance(name, (str, type(None))):
+                raise ValueError("label and platform must be strings")
+            platform = Platform.parse(name) if name else None
+        except OSError as exc:
+            raise CliError(f"cannot read {meta_path}: {exc.strerror or exc}") from exc
+        except ValueError as exc:
+            raise CliError(f"corrupt bundle file {meta_path}: {exc}") from exc
     records = _read_bundle_log(flows_path, FlowRecord.from_json, "flow records")
     http_path = os.path.join(bundle_dir, "http.jsonl")
     streamed = ()
@@ -137,7 +147,7 @@ def load_bundle_exposures(bundle_dir: str) -> Optional[list[pii.ExposureRecord]]
     if not os.path.exists(path):
         return None
     with open(path, encoding="utf-8") as fh:
-        return [pii.ExposureRecord.from_json(json.loads(line)) for line in fh if line.strip()]
+        return read_jsonl(fh, pii.ExposureRecord.from_json, "exposures")
 
 
 # -- shared option handling ------------------------------------------------
@@ -238,8 +248,7 @@ def cmd_ingest(args) -> int:
     cfg = _load_global_config(args)
     for path in [args.flows, args.http]:
         if path and not os.path.exists(path):
-            print(f"error: input file not found: {path}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise CliError(f"input file not found: {path}")
 
     path = args.flows
     try:
@@ -255,14 +264,11 @@ def cmd_ingest(args) -> int:
                 except LogParseError as exc:  # nothing parsed: warn, keep no transaction
                     http_errors = exc.errors
     except LogParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CliError(str(exc)) from exc
     except UnicodeDecodeError as exc:
-        print(f"error: {path} is not UTF-8 text: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CliError(f"{path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     for what, errors in (("flows", flows.errors), ("http", http_errors)):
         for err in errors:
             print(f"warning: {what} line {err.line_no}: {err.reason}", file=sys.stderr)
@@ -318,14 +324,10 @@ def _pii_rows(bundle_dir: str, dataset: Dataset, platform: str, notes: list[str]
 
 def cmd_evaluate(args) -> int:
     cfg = _load_global_config(args)
-    try:
-        lists = _build_lists(cfg)
-        rules = _load_rules(cfg)
-        processes = _load_processes(cfg)
-        bundles = [load_bundle(path) for path in args.bundle]
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    lists = _build_lists(cfg)
+    rules = _load_rules(cfg)
+    processes = _load_processes(cfg)
+    bundles = [load_bundle(path) for path in args.bundle]
 
     # Summarised first, so dataset_summary's transient per-name maps do not
     # stack on the table rows at the process's memory peak.
@@ -461,31 +463,22 @@ def cmd_scan_pii(args) -> int:
     cfg = _load_global_config(args)
     spec_path = args.pii_spec or cfg.pii_spec_path
     if not spec_path or not os.path.exists(spec_path):
-        print("error: PII spec file is required and must exist", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        lists = _build_lists(cfg)
-        rules = _load_rules(cfg)
-        processes = _load_processes(cfg)
-        dataset = load_bundle(args.bundle, keep_transactions=True)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CliError("PII spec file is required and must exist")
+    lists = _build_lists(cfg)
+    rules = _load_rules(cfg)
+    processes = _load_processes(cfg)
+    dataset = load_bundle(args.bundle, keep_transactions=True)
 
     pii.warn_if_world_readable(spec_path)
-    with open(spec_path, encoding="utf-8") as fh:
-        try:
-            specs = pii.load_pii_specs(fh.read())
-        except (ValueError, pii.InvalidMac, pii.InvalidCoordinate) as exc:
-            print(f"error: invalid PII spec: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-
     scan_cfg = pii.ScanConfig()
     try:
+        with open(spec_path, encoding="utf-8") as fh:
+            specs = pii.load_pii_specs(fh.read())
         variants = pii.build_all_variants(specs, scan_cfg)
-    except (pii.InvalidMac, pii.InvalidCoordinate) as exc:
-        print(f"error: invalid PII spec: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except OSError as exc:
+        raise CliError(f"cannot read {spec_path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # InvalidMac and InvalidCoordinate included
+        raise CliError(f"invalid PII spec: {exc}") from exc
 
     ctx = _build_ctx(dataset, rules, cfg, processes)
     developers = dataset.index.first_developers(known_only=True)
@@ -531,13 +524,9 @@ def cmd_scan_pii(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _load_global_config(args)
-    try:
-        rules = _load_rules(cfg)
-        processes = _load_processes(cfg)
-        dataset = load_bundle(args.bundle)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    rules = _load_rules(cfg)
+    processes = _load_processes(cfg)
+    dataset = load_bundle(args.bundle)
     ctx = _build_ctx(dataset, rules, cfg, processes)
     platform = dataset.platform.name if dataset.platform else dataset.label
 
@@ -565,20 +554,11 @@ def cmd_serve(args) -> int:
     from . import sinkhole  # only serve loads the socket and thread code
 
     cfg = _load_global_config(args)
-    try:
-        lists = _build_lists(cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    lists = _build_lists(cfg)
     sink_cfg = cfg.sinkhole
     if not sink_cfg.active_lists:
         sink_cfg.active_lists = tuple(cfg.lists.keys())
     sink_cfg.match_mode = cfg.match_mode
-    try:
-        sink_cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
     def reload_lists(signum, frame):
         try:
@@ -594,6 +574,7 @@ def cmd_serve(args) -> int:
     # SIGINT may come as soon as the first query is answered, which can be
     # before serve() returns: it must stop the service from then on.
     try:
+        sink_cfg.validate()
         service = sinkhole.serve(sink_cfg, lists)
         signal.signal(signal.SIGHUP, reload_lists)
         signal.signal(signal.SIGUSR1, lambda s, f: service.dump_stats())
@@ -602,8 +583,7 @@ def cmd_serve(args) -> int:
         while True:
             time.sleep(3600)
     except (sinkhole.BindFailure, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CliError(str(exc)) from exc
     except KeyboardInterrupt:
         pass
     finally:

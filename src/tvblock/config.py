@@ -1,7 +1,8 @@
 """Global configuration: one JSON file, every field overridable by a flag.
 
 The file maps directly onto GlobalConfig fields; unknown keys are rejected
-to catch typos. Paths are resolved relative to the config file's directory
+to catch typos, and so is a value whose JSON type is not the one its field
+declares. Paths are resolved relative to the config file's directory
 so a config can travel with its data.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import typing
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -114,6 +116,8 @@ def load_config(path: str) -> GlobalConfig:
     sink_unknown = set(sink_obj) - sink_known
     if sink_unknown:
         raise ValueError(f"unknown sinkhole config keys: {sorted(sink_unknown)}")
+    _check_types(SinkholeConfig, sink_obj, "sinkhole.")
+    _check_types(GlobalConfig, obj, "")
     if "active_lists" in sink_obj:
         sink_obj["active_lists"] = tuple(sink_obj["active_lists"])
     sinkhole = SinkholeConfig(**sink_obj)
@@ -121,6 +125,30 @@ def load_config(path: str) -> GlobalConfig:
     cfg = GlobalConfig(sinkhole=sinkhole, **obj)
     _resolve_paths(cfg, base)
     return cfg
+
+
+def _conforms(value, hint) -> bool:
+    """True when a JSON value has the type a field declares; a bool is no int."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return any(_conforms(value, arg) for arg in args)
+    if origin is typing.Literal:  # the values themselves are validate()'s to check
+        return any(type(value) is type(arg) for arg in args)
+    if origin is dict:
+        return isinstance(value, dict) and all(_conforms(v, args[1]) for v in value.values())
+    if origin in (list, tuple):  # a tuple field is a JSON array
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    return type(value) is hint
+
+
+def _check_types(cls, obj: dict, prefix: str) -> None:
+    """Reject a config value that does not conform to its dataclass field."""
+    hints = typing.get_type_hints(cls)
+    for key, value in obj.items():
+        hint = hints[key]
+        if not _conforms(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+            raise ValueError(f"{prefix}{key} must be {name}, got {type(value).__name__}")
 
 
 def _resolve(base: str, path: Optional[str]) -> Optional[str]:

@@ -7,7 +7,6 @@ NamedTuples; ``reports`` renders their rows as CSV and JSON tables.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -23,7 +22,7 @@ from .party import (
     tokenize,
 )
 from .pii import KIND_ORDER, ExposureRecord, PiiKind
-from .traffic import Dataset
+from .traffic import Dataset, read_jsonl, require_field
 
 DEFAULT_KEYWORDS = ("ad", "ads", "adtag", "track", "tracking", "analytics")
 DEFAULT_MAX_BUCKET = 8
@@ -327,12 +326,13 @@ def load_org_map(esld_lines: Iterable[str] | str, parent_lines: Iterable[str] | 
     esld file lines: {"esld": ..., "org": ...}
     parent file lines: {"org": ..., "parent": ...}
     """
-    esld_to_org = {}
-    for obj in _jsonl_objects(esld_lines):
-        esld_to_org[str(obj["esld"]).lower()] = str(obj["org"])
-    org_parent = {}
-    for obj in _jsonl_objects(parent_lines):
-        org_parent[str(obj["org"])] = str(obj["parent"])
+
+    def pair(key: str, value: str):
+        return lambda obj: (str(require_field(obj, key)), str(require_field(obj, value)))
+
+    esld_pairs = read_jsonl(esld_lines, pair("esld", "org"), "org eSLD entries")
+    esld_to_org = {esld.lower(): org for esld, org in esld_pairs}
+    org_parent = dict(read_jsonl(parent_lines, pair("org", "parent"), "org parent entries"))
     for start in org_parent:
         seen = {start}
         node = start
@@ -342,14 +342,6 @@ def load_org_map(esld_lines: Iterable[str] | str, parent_lines: Iterable[str] | 
                 raise CyclicParentChain(f"cycle through {node!r}")
             seen.add(node)
     return OrgMap(esld_to_org=esld_to_org, org_parent=org_parent)
-
-
-def _jsonl_objects(source: Iterable[str] | str):
-    lines = source.splitlines() if isinstance(source, str) else source
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield json.loads(line)
 
 
 def resolve_org(esld_value: str, org_map: OrgMap) -> str:
@@ -367,12 +359,15 @@ def resolve_org(esld_value: str, org_map: OrgMap) -> str:
 
 def load_ats_labels(source: Iterable[str] | str) -> dict[str, frozenset[str]]:
     """JSONL label file: {"fqdn": ..., "labels": ["ads", "tracking", ...]}."""
-    labels = {}
-    for obj in _jsonl_objects(source):
-        labels[str(obj["fqdn"]).lower()] = frozenset(
-            str(v).lower() for v in obj.get("labels", [])
-        )
-    return labels
+
+    def entry(obj: dict) -> tuple[str, frozenset[str]]:
+        fqdn = str(require_field(obj, "fqdn")).lower()
+        values = obj.get("labels", [])
+        if not isinstance(values, list):
+            raise ValueError("field 'labels' must be an array")
+        return fqdn, frozenset(str(v).lower() for v in values)
+
+    return dict(read_jsonl(source, entry, "ATS label entries"))
 
 
 ATS_LABEL_VALUES = frozenset({"ads", "tracking"})

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from . import psl
-from .traffic import Dataset, Platform
+from .traffic import Dataset, Platform, read_jsonl
 
 _TOKEN_RE = re.compile(r"[a-z]+|[0-9]+")
 
@@ -206,13 +205,7 @@ def build_context(
 
 def load_platform_processes(source: Iterable[str] | str) -> frozenset[str]:
     """Read a JSONL platform-process file: {"app_id": ..., "is_platform": bool}."""
-    lines = source.splitlines() if isinstance(source, str) else source
-    platform_apps: set[str] = set()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        if obj.get("is_platform") and obj.get("app_id"):
-            platform_apps.add(str(obj["app_id"]))
-    return frozenset(platform_apps)
+    flagged = read_jsonl(
+        source, lambda obj: obj.get("is_platform") and obj.get("app_id"), "platform processes"
+    )
+    return frozenset(str(app_id) for app_id in flagged if app_id)

@@ -4,8 +4,9 @@ Each configured PII value expands into a searchable variant set: the
 normalized plaintext plus its lowercase MD5 and SHA1 hex digests (trackers
 are known to hash identifiers before sending them). MAC addresses expand
 across separator formats and both hex cases before hashing; coordinates are
-truncated to a configurable precision. Scanning is substring search over
-the request URI (optionally percent-decoded once) and every header value.
+truncated to a configurable precision. Scanning is case-insensitive
+substring search over the request URI (optionally percent-decoded once) and
+every header value.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 from . import psl
 from .blocklists import BlockList, MatchMode, blocked_by
 from .party import ClassificationContext, PartyLabel, classify, esld_of
-from .traffic import HttpTransaction
+from .traffic import HttpTransaction, require_field
 
 log = logging.getLogger(__name__)
 
@@ -89,7 +90,6 @@ class PiiSpec:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    case_insensitive: bool = True
     url_decode: bool = True
     mac_formats: frozenset[str] = frozenset(MAC_FORMATS)
     location_precision: int = 3
@@ -157,13 +157,13 @@ class ExposureRecord:
     @classmethod
     def from_json(cls, obj: dict) -> "ExposureRecord":
         return cls(
-            app_id=obj["app_id"],
-            fqdn=obj["fqdn"],
+            app_id=require_field(obj, "app_id"),
+            fqdn=require_field(obj, "fqdn"),
             esld=obj.get("esld"),
-            pii_kind=PiiKind(obj["pii_kind"]),
-            encoding=Encoding(obj["encoding"]),
-            location=obj["location"],
-            timestamp=obj["timestamp"],
+            pii_kind=PiiKind(require_field(obj, "pii_kind")),
+            encoding=Encoding(require_field(obj, "encoding")),
+            location=require_field(obj, "location"),
+            timestamp=require_field(obj, "timestamp"),
             party=PartyLabel(obj["party"]) if obj.get("party") else None,
             blocked_by=frozenset(obj["blocked_by"]) if obj.get("blocked_by") is not None else None,
         )
@@ -179,6 +179,8 @@ def load_pii_specs(source: str) -> list[PiiSpec]:
         kind = PiiKind(key)
         if isinstance(values, str):
             values = [values]
+        elif not isinstance(values, list):
+            raise ValueError(f"{key} must be a string or an array")
         specs.append(PiiSpec(kind=kind, raw_values=tuple(str(v) for v in values)))
     return specs
 
@@ -240,8 +242,8 @@ def build_variants(spec: PiiSpec, cfg: ScanConfig = ScanConfig()) -> tuple[Varia
     """Expand one PII spec into its searchable variant set.
 
     Every normalized plaintext form contributes itself plus MD5 and SHA1
-    hex digests. Case folding applies when the scan is case-insensitive,
-    because trackers may hash either case of the value they read.
+    hex digests. The lower-cased form is added too, because the scan folds
+    case and trackers may hash either case of the value they read.
     """
     variants: dict[tuple, Variant] = {}
 
@@ -258,7 +260,7 @@ def build_variants(spec: PiiSpec, cfg: ScanConfig = ScanConfig()) -> tuple[Varia
             ]
         else:
             forms = [raw.strip()]
-            if cfg.case_insensitive and raw.strip().lower() != raw.strip():
+            if raw.strip().lower() != raw.strip():
                 forms.append(raw.strip().lower())
             plaintexts = [(p, "") for p in forms]
         for text, component in plaintexts:
@@ -288,12 +290,6 @@ def _surfaces(tx: HttpTransaction, cfg: ScanConfig) -> list[tuple[str, str]]:
     return surfaces
 
 
-def _contains(haystack: str, needle: str, cfg: ScanConfig) -> bool:
-    if cfg.case_insensitive:
-        return needle.lower() in haystack.lower()
-    return needle in haystack
-
-
 def scan_transaction(
     tx: HttpTransaction,
     specs: Sequence[PiiSpec],
@@ -315,7 +311,7 @@ def scan_transaction(
     location_halves: dict[Encoding, dict[str, list[tuple[str, str]]]] = {}
     for variant in variants:
         for location, haystack in surfaces:
-            if not _contains(haystack, variant.needle, cfg):
+            if variant.needle.lower() not in haystack.lower():
                 continue
             if variant.kind is PiiKind.LOCATION:
                 halves = location_halves.setdefault(variant.encoding, {})
@@ -419,11 +415,9 @@ def redact(
     # Longest needles first so overlapping shorter needles cannot split a span.
     replacements.sort(key=lambda pair: len(pair[0]), reverse=True)
 
-    flags = re.IGNORECASE if cfg.case_insensitive else 0
-
     def scrub(text: str) -> str:
         for needle, token in replacements:
-            text = re.sub(re.escape(needle), token, text, flags=flags)
+            text = re.sub(re.escape(needle), token, text, flags=re.IGNORECASE)
         return text
 
     uri = urllib.parse.unquote(tx.uri) if cfg.url_decode else tx.uri

@@ -277,10 +277,15 @@ def _iter_lines(source: Iterable[str] | str) -> Iterator[str]:
     return iter(source)
 
 
-def _require_str(obj: dict, key: str) -> str:
+def require_field(obj: dict, key: str):
+    """``obj[key]``, or a ValueError naming the missing field."""
     if key not in obj:
         raise ValueError(f"missing field '{key}'")
-    value = obj[key]
+    return obj[key]
+
+
+def _require_str(obj: dict, key: str) -> str:
+    value = require_field(obj, key)
     if not isinstance(value, str) or not value:
         raise ValueError(f"field '{key}' must be a non-empty string")
     return value
@@ -294,9 +299,7 @@ def _optional_str(obj: dict, key: str) -> Optional[str]:
 
 
 def _require_int(obj: dict, key: str) -> int:
-    if key not in obj:
-        raise ValueError(f"missing field '{key}'")
-    value = obj[key]
+    value = require_field(obj, key)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"field '{key}' must be an integer")
     return value
@@ -312,8 +315,10 @@ def _optional_int(obj: dict, key: str, default: int) -> int:
 def iter_jsonl(source, build, what: str, errors: list[MalformedLine]) -> Iterator:
     """Yield ``build(obj)`` for each JSON object line of a JSONL source.
 
-    The one parse loop behind every log reader. Blank lines are ignored;
-    each malformed line is skipped and appended to ``errors``. Once the
+    The one JSON-lines loop of the package: the capture logs read through
+    it directly and every side file through read_jsonl(). Blank lines are
+    ignored. A line that is not JSON, not an object, or on which ``build``
+    raises ValueError is skipped and appended to ``errors``. Once the
     source is exhausted, LogParseError is raised if it had content but
     nothing parsed.
     """
@@ -341,6 +346,24 @@ def iter_jsonl(source, build, what: str, errors: list[MalformedLine]) -> Iterato
         yield item
     if saw_content and not parsed:
         raise LogParseError(f"no {what} parsed from input", errors)
+
+
+def read_jsonl(source, build, what: str) -> list:
+    """Return ``build(obj)`` for every JSON object line of a JSONL source.
+
+    The strict reader for side files (org map, ATS labels, platform
+    processes, exposures): where iter_jsonl() skips a bad line, this raises
+    ValueError naming the first bad line's number and reason, also when no
+    line parses at all.
+    """
+    errors: list[MalformedLine] = []
+    try:
+        items = list(iter_jsonl(source, build, what, errors))
+    except LogParseError:
+        pass  # every line failed: errors holds the first
+    if errors:
+        raise ValueError(f"{what} line {errors[0].line_no}: {errors[0].reason}")
+    return items
 
 
 def parse_flow_log(source: Iterable[str] | str) -> ParsedFlows:
