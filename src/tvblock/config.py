@@ -147,7 +147,9 @@ def _check_types(cls, obj: dict, prefix: str) -> None:
     for key, value in obj.items():
         hint = hints[key]
         if not _conforms(value, hint):
-            name = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+            # By origin, not isinstance: on 3.10 dict[str, ...] is an instance of type.
+            generic = typing.get_origin(hint) is not None
+            name = str(hint).replace("typing.", "") if generic else hint.__name__
             raise ValueError(f"{prefix}{key} must be {name}, got {type(value).__name__}")
 
 

@@ -156,6 +156,9 @@ class ExposureRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExposureRecord":
+        blocked = obj.get("blocked_by")
+        if not (blocked is None or type(blocked) is list and all(type(v) is str for v in blocked)):
+            raise ValueError("field 'blocked_by' must be an array of strings")
         return cls(
             app_id=require_field(obj, "app_id"),
             fqdn=require_field(obj, "fqdn"),
@@ -165,7 +168,7 @@ class ExposureRecord:
             location=require_field(obj, "location"),
             timestamp=require_field(obj, "timestamp"),
             party=PartyLabel(obj["party"]) if obj.get("party") else None,
-            blocked_by=frozenset(obj["blocked_by"]) if obj.get("blocked_by") is not None else None,
+            blocked_by=frozenset(blocked) if blocked is not None else None,
         )
 
 

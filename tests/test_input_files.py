@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvblock import metrics, party, pii
-from tvblock.cli import main
+from tvblock.cli import load_bundle_exposures, main
 from tvblock.config import GlobalConfig
 from tvblock.traffic import read_jsonl, require_field
 
@@ -144,6 +144,23 @@ def test_ats_labels_string_fails_the_table(corpus, tmp_path):
     assert code == 1
     assert "table failed: ats_labels: ATS label entries line 1:" in err
     assert sorted(os.listdir(out)) == sorted(TABLES)
+
+
+@pytest.mark.parametrize("blocked_by", [5, "PD", [[1]]], ids=["int", "str", "nested"])
+def test_exposure_blocked_by_of_another_type_names_the_line(corpus, tmp_path, blocked_by):
+    bundle = shutil.copytree(corpus / "bundle", tmp_path / "bundle")
+    with open(bundle / "exposures.jsonl", encoding="utf-8") as fh:
+        record = json.loads(fh.readline())
+    record["blocked_by"] = blocked_by
+    (bundle / "exposures.jsonl").write_text(json.dumps(record) + "\n")
+    with pytest.raises(
+        ValueError, match=r"^exposures line 1: field 'blocked_by' must be an array of strings$"
+    ):
+        load_bundle_exposures(bundle)
+    out = tmp_path / "out"
+    code, _, err = _main("evaluate", "--bundle", bundle, "--config", CORPUS_CONFIG, "--out", out)
+    assert code == 1
+    assert "table failed: pii_table[Roku]: exposures line 1: field 'blocked_by'" in err
 
 
 @pytest.mark.parametrize(
