@@ -60,7 +60,6 @@ class BlockList:
 
     name: str
     entries: frozenset[str]
-    source_files: tuple[str, ...] = ()
 
     @property
     def entry_count(self) -> int:
@@ -128,7 +127,7 @@ def build_list(name: str, files: Sequence[str]) -> BlockList:
             log.warning(
                 "%s:%d: skipped %r (%s)", path, diag.line_no, diag.token, diag.reason
             )
-    return BlockList(name=name, entries=frozenset(entries), source_files=tuple(str(p) for p in files))
+    return BlockList(name=name, entries=frozenset(entries))
 
 
 def is_blocked(fqdn: str, blocklist: BlockList, mode: MatchMode = "exact") -> bool:
@@ -158,8 +157,6 @@ def blocked_by(
 def union_lists(lists: Iterable[BlockList], name: str = "union") -> BlockList:
     """A single list whose entries are the union of the given lists."""
     entries: set[str] = set()
-    sources: list[str] = []
     for bl in lists:
         entries |= bl.entries
-        sources.extend(bl.source_files)
-    return BlockList(name=name, entries=frozenset(entries), source_files=tuple(sources))
+    return BlockList(name=name, entries=frozenset(entries))

@@ -18,8 +18,8 @@ import time
 from typing import Optional, Sequence
 
 from . import __version__, metrics, pii, psl, reports
-from .blocklists import BlockList, build_list, is_blocked
-from .config import GlobalConfig, load_config, load_lists_manifest
+from .blocklists import MATCH_MODES, BlockList, build_list, is_blocked
+from .config import BLOCKING_MODES, GlobalConfig, load_config, load_lists_manifest
 from .party import (
     DEFAULT_STOP_TOKENS,
     build_context,
@@ -36,6 +36,7 @@ from .traffic import (
     MalformedLine,
     Platform,
     dataset_summary,
+    decode_json,
     index_contacts,
     iter_jsonl,
     parse_flow_log,
@@ -115,7 +116,7 @@ def load_bundle(bundle_dir: str, keep_transactions: bool = False) -> Dataset:
     if os.path.exists(meta_path):
         try:
             with open(meta_path, encoding="utf-8") as fh:
-                meta = json.load(fh)
+                meta = decode_json(fh.read())
             if not isinstance(meta, dict):
                 raise ValueError("not a JSON object")
             label, name = meta.get("label", label), meta.get("platform") or None
@@ -611,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="global JSON config file")
         p.add_argument("--psl", help="public suffix rules file")
         p.add_argument("--lists", help="blocklist manifest JSON (name -> paths)")
-        p.add_argument("--mode", choices=["exact", "suffix"], help="match mode")
+        p.add_argument("--mode", choices=MATCH_MODES, help="match mode")
         p.add_argument("--out", help="output directory")
 
     p_ingest = sub.add_parser("ingest", help="parse raw logs into a dataset bundle")
@@ -644,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--listen", help="listen address HOST:PORT")
     p_serve.add_argument("--upstream", help="upstream resolver HOST:PORT")
     p_serve.add_argument(
-        "--blocking", choices=["null", "nxdomain"], help="blocked-answer mode"
+        "--blocking", choices=BLOCKING_MODES, help="blocked-answer mode"
     )
     p_serve.add_argument("--query-log", help="query log JSONL path")
     p_serve.add_argument("--stats", help="stats endpoint HOST:PORT")

@@ -8,13 +8,13 @@ so a config can travel with its data.
 
 from __future__ import annotations
 
-import json
 import os
 import typing
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .blocklists import MATCH_MODES, MatchMode
+from .traffic import decode_json
 
 BLOCKING_MODES = ("null", "nxdomain")
 
@@ -99,7 +99,7 @@ class GlobalConfig:
 
 def load_config(path: str) -> GlobalConfig:
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = decode_json(fh.read())
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
@@ -176,10 +176,8 @@ def _resolve_paths(cfg: GlobalConfig, base: str) -> None:
 def load_lists_manifest(path: str) -> dict[str, list[str]]:
     """Standalone manifest file for --lists: {"PD": ["path", ...], ...}."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict) or not all(
-        isinstance(v, list) for v in obj.values()
-    ):
+        obj = decode_json(fh.read())
+    if not _conforms(obj, typing.get_type_hints(GlobalConfig)["lists"]):
         raise ValueError("lists manifest must map list names to arrays of paths")
     base = os.path.dirname(os.path.abspath(path))
     return {name: [_resolve(base, p) for p in paths] for name, paths in obj.items()}

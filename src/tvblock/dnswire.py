@@ -4,13 +4,20 @@ Parses the 12-byte header, the question section, and resource records
 (with compression-pointer support, which responses need). Builds queries
 and synthesized responses. Anything beyond single-question UDP messages is
 out of scope; the server answers multi-question queries with FORMERR.
+
+This module alone knows the header layout, through the flag constants below
+that Header.pack and parse_header share, and the reply rule, in
+_reply_header: a reply keeps the query's txid, opcode and RD, sets QR and
+RA, and clears AA and TC. Callers read a datagram's txid and check a reply
+against its query through get_txid and is_reply, not by offset.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 TYPE_A = 1
 TYPE_NS = 2
@@ -54,6 +61,12 @@ class WireError(ValueError):
     pass
 
 
+# The header's flag word. Header.pack and parse_header both read these; no
+# other code knows where a flag sits. Opcode and rcode are 4-bit fields.
+_QR, _AA, _TC, _RD, _RA = 1 << 15, 1 << 10, 1 << 9, 1 << 8, 1 << 7
+_OPCODE_SHIFT, _NIBBLE = 11, 0xF
+
+
 @dataclass(frozen=True)
 class Header:
     txid: int
@@ -71,22 +84,11 @@ class Header:
 
     def pack(self) -> bytes:
         flags = (
-            (int(self.qr) << 15)
-            | ((self.opcode & 0xF) << 11)
-            | (int(self.aa) << 10)
-            | (int(self.tc) << 9)
-            | (int(self.rd) << 8)
-            | (int(self.ra) << 7)
-            | (self.rcode & 0xF)
+            _QR * self.qr | (self.opcode & _NIBBLE) << _OPCODE_SHIFT | _AA * self.aa
+            | _TC * self.tc | _RD * self.rd | _RA * self.ra | self.rcode & _NIBBLE
         )
         return struct.pack(
-            ">HHHHHH",
-            self.txid,
-            flags,
-            self.qdcount,
-            self.ancount,
-            self.nscount,
-            self.arcount,
+            ">HHHHHH", self.txid, flags, self.qdcount, self.ancount, self.nscount, self.arcount
         )
 
 
@@ -182,20 +184,10 @@ def decode_name(data: bytes, offset: int, pointers: bool = True) -> tuple[str, i
 def parse_header(data: bytes) -> Header:
     if len(data) < 12:
         raise WireError("message shorter than DNS header")
-    txid, flags, qd, an, ns, ar = struct.unpack(">HHHHHH", data[:12])
+    txid, flags, *counts = struct.unpack(">HHHHHH", data[:12])
     return Header(
-        txid=txid,
-        qr=bool(flags & 0x8000),
-        opcode=(flags >> 11) & 0xF,
-        aa=bool(flags & 0x0400),
-        tc=bool(flags & 0x0200),
-        rd=bool(flags & 0x0100),
-        ra=bool(flags & 0x0080),
-        rcode=flags & 0xF,
-        qdcount=qd,
-        ancount=an,
-        nscount=ns,
-        arcount=ar,
+        txid, bool(flags & _QR), flags >> _OPCODE_SHIFT & _NIBBLE, bool(flags & _AA),
+        bool(flags & _TC), bool(flags & _RD), bool(flags & _RA), flags & _NIBBLE, *counts,
     )
 
 
@@ -238,21 +230,15 @@ def parse_message(data: bytes) -> Message:
 
 
 def build_query(qname: str, qtype: int, txid: int, rd: bool = True) -> bytes:
-    header = Header(
-        txid=txid,
-        qr=False,
-        opcode=0,
-        aa=False,
-        tc=False,
-        rd=rd,
-        ra=False,
-        rcode=0,
-        qdcount=1,
-        ancount=0,
-        nscount=0,
-        arcount=0,
-    )
+    header = replace(parse_header(bytes(12)), txid=txid, rd=rd, qdcount=1)  # every flag clear but RD
     return header.pack() + encode_name(qname) + struct.pack(">HH", qtype, CLASS_IN)
+
+
+def _reply_header(query: Header, rcode: int, qdcount: int, ancount: int) -> bytes:
+    """The reply rule: the query's txid, opcode and RD kept; QR and RA set; AA and TC clear."""
+    return Header(  # txid, qr, opcode, aa, tc, rd, ra, rcode, then the four counts
+        query.txid, True, query.opcode, False, False, query.rd, True, rcode, qdcount, ancount, 0, 0
+    ).pack()
 
 
 def build_response(
@@ -266,21 +252,7 @@ def build_response(
     (rtype, ttl, rdata) for the question name; the name is emitted as a
     compression pointer to the question. QR and RA are set, RD copied.
     """
-    header = Header(
-        txid=query.header.txid,
-        qr=True,
-        opcode=query.header.opcode,
-        aa=False,
-        tc=False,
-        rd=query.header.rd,
-        ra=True,
-        rcode=rcode,
-        qdcount=1,
-        ancount=len(answers),
-        nscount=0,
-        arcount=0,
-    )
-    out = bytearray(header.pack())
+    out = bytearray(_reply_header(query.header, rcode, 1, len(answers)))
     out += query.question.wire
     for rtype, ttl, rdata in answers:
         out += b"\xc0\x0c"  # pointer to the question name
@@ -295,22 +267,7 @@ def build_error_response(data: bytes, rcode: int) -> bytes:
     Used when the question section itself is unusable (FORMERR) or when a
     parsed reply cannot be synthesized.
     """
-    header = parse_header(data[:12].ljust(12, b"\x00"))
-    reply = Header(
-        txid=header.txid,
-        qr=True,
-        opcode=header.opcode,
-        aa=False,
-        tc=False,
-        rd=header.rd,
-        ra=True,
-        rcode=rcode,
-        qdcount=0,
-        ancount=0,
-        nscount=0,
-        arcount=0,
-    )
-    return reply.pack()
+    return _reply_header(parse_header(data[:12].ljust(12, b"\x00")), rcode, 0, 0)
 
 
 def truncate_for_udp(data: bytes, limit: int = MAX_UDP_PAYLOAD) -> bytes:
@@ -326,21 +283,8 @@ def truncate_for_udp(data: bytes, limit: int = MAX_UDP_PAYLOAD) -> bytes:
     for _ in range(header.qdcount):
         _, offset = decode_name(data, offset)
         offset += 4
-    flags_hdr = Header(
-        txid=header.txid,
-        qr=True,
-        opcode=header.opcode,
-        aa=header.aa,
-        tc=True,
-        rd=header.rd,
-        ra=header.ra,
-        rcode=header.rcode,
-        qdcount=header.qdcount,
-        ancount=0,
-        nscount=0,
-        arcount=0,
-    )
-    return flags_hdr.pack() + data[12:offset]
+    truncated = replace(header, qr=True, tc=True, ancount=0, nscount=0, arcount=0)
+    return truncated.pack() + data[12:offset]
 
 
 def a_rdata(address: str) -> bytes:
@@ -351,7 +295,20 @@ def aaaa_rdata(address: str) -> bytes:
     return socket.inet_pton(socket.AF_INET6, address)
 
 
+def get_txid(data: bytes) -> Optional[int]:
+    """The transaction id of a datagram, or None when it is too short to hold one."""
+    return int.from_bytes(data[:2], "big") if len(data) >= 2 else None
+
+
 def set_txid(data: bytes, txid: int) -> bytes:
     if len(data) < 2:
         raise WireError("message too short for a transaction id")
     return struct.pack(">H", txid) + data[2:]
+
+
+def is_reply(reply: bytes, txid: int, question: bytes) -> bool:
+    """Whether ``reply`` answers the query sent with this txid and ``question``
+    (its question section, lowercased): the txid matches, QDCOUNT is not zero
+    and the question is echoed, its name in any case."""
+    return (get_txid(reply) == txid and reply[4:6] != b"\0\0"
+            and reply[12:12 + len(question)].lower() == question)

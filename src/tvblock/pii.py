@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import json
 import logging
 import re
 import urllib.parse
@@ -24,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 from . import psl
 from .blocklists import BlockList, MatchMode, blocked_by
 from .party import ClassificationContext, PartyLabel, classify, esld_of
-from .traffic import HttpTransaction, require_field
+from .traffic import HttpTransaction, decode_json, require_field
 
 log = logging.getLogger(__name__)
 
@@ -174,7 +173,7 @@ class ExposureRecord:
 
 def load_pii_specs(source: str) -> list[PiiSpec]:
     """Parse a PII specification JSON document: {kind: [raw values, ...]}."""
-    obj = json.loads(source)
+    obj = decode_json(source)
     if not isinstance(obj, dict):
         raise ValueError("PII spec must be a JSON object mapping kind to values")
     specs = []

@@ -98,13 +98,6 @@ def answer_blocked(query: dnswire.Message, cfg: SinkholeConfig) -> bytes:
     return dnswire.build_response(query, rcode=dnswire.RCODE_NOERROR, answers=answers)
 
 
-def _is_reply(reply: bytes, txid: int, question: bytes) -> bool:
-    """Whether ``reply`` answers the upstream query sent with this txid and
-    ``question`` (its question section, lowercased), its name in any case."""
-    return (reply[:2] == txid.to_bytes(2, "big") and reply[4:6] != b"\0\0"
-            and reply[12:12 + len(question)].lower() == question)
-
-
 def _servfail(query: bytes, client, started: int, outcome: Outcome) -> tuple:
     """The answer to a forwarded query that was shed or not answered in time."""
     servfail = dnswire.build_error_response(query, dnswire.RCODE_SERVFAIL)
@@ -144,13 +137,13 @@ class Forwarder:
     def on_reply(self, slot, reply: bytes) -> Optional[tuple]:
         """The answer a datagram read on ``slot`` gives: the reply relayed verbatim
         with the client's txid, or None when it answers no pending query."""
-        key = (slot, int.from_bytes(reply[:2], "big"))
+        key = (slot, dnswire.get_txid(reply))
         entry = self.pending.get(key)
-        if entry is None or not _is_reply(reply, key[1], entry[4].question):
+        if entry is None or not dnswire.is_reply(reply, key[1], entry[4].question):
             return None
         del self.pending[key]
         _, query, client, started, outcome = entry
-        return client, started, dnswire.set_txid(reply, int.from_bytes(query[:2], "big")), outcome
+        return client, started, dnswire.set_txid(reply, dnswire.get_txid(query)), outcome
 
     def rotate(self, fresh_slot, now: int) -> None:
         """Add a slot to the pool and retire the oldest. expire() hands that one

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -312,6 +313,29 @@ def _optional_int(obj: dict, key: str, default: int) -> int:
     return value
 
 
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def decode_json(text: str):
+    """The JSON value of ``text``, as ``json.loads`` gives it, for every input file.
+
+    Two more inputs raise json.JSONDecodeError, so callers treat them as
+    any other invalid JSON: nesting deeper than the interpreter's recursion
+    limit, and a string holding a lone surrogate, which no output file
+    could encode. Text read as UTF-8 can hold a surrogate only as a \\u
+    escape, so only text with such an escape is checked.
+    """
+    try:
+        value = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(value, ensure_ascii=False).encode("utf-8")  # fails on a lone surrogate
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    except UnicodeEncodeError:
+        raise json.JSONDecodeError("lone surrogate in a string", text, 0) from None
+    return value
+
+
 def iter_jsonl(source, build, what: str, errors: list[MalformedLine]) -> Iterator:
     """Yield ``build(obj)`` for each JSON object line of a JSONL source.
 
@@ -330,7 +354,7 @@ def iter_jsonl(source, build, what: str, errors: list[MalformedLine]) -> Iterato
             continue
         saw_content = True
         try:
-            obj = json.loads(stripped)
+            obj = decode_json(stripped)
         except json.JSONDecodeError as exc:
             errors.append(MalformedLine(line_no, f"invalid JSON: {exc.msg}"))
             continue

@@ -5,7 +5,8 @@ overlap.csv the first developer seen (None included), PII attribution the
 first non-None one, classifications.csv the first seen per (app, eSLD)
 pair. The generated corpora never tell these apart, so a hand-built pair of
 bundles does here, and a property runs small random bundles with IP
-literals, unattributed flows and late developers through the CLI.
+literals, unattributed flows and late developers, against 2-4 random lists,
+through the CLI.
 """
 
 import csv
@@ -25,6 +26,7 @@ from tvblock.traffic import Dataset, FlowRecord, HttpTransaction, Platform
 ADID = "fa3c7e19-0a2b-4c5d-8e9f-1234567890ab"
 MARKERS = {"Roku": ["roku"], "FireTV": ["amazon"]}
 STOPS = set(DEFAULT_STOP_TOKENS)
+KEYWORDS = ["ads", "api", "beacon", "cdn", "tracker"]
 
 
 def flow(platform, fqdn, app=None, dev=None, ts=0):
@@ -79,12 +81,29 @@ def reference_classifications(bundle, markers):
     ]
 
 
+def write_lists(work, lists):
+    """Write each list's files: list name -> [(entries, hosts format), ...] per
+    file. A hosts-format file prefixes each name with an address; a
+    bare-domain file holds the name alone."""
+    paths = {}
+    for name, files in lists.items():
+        paths[name] = []
+        for i, (entries, hosts_format) in enumerate(files):
+            path = os.path.join(work, f"{name}-{i}.txt")
+            prefix = "0.0.0.0 " if hosts_format else ""
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{prefix}{entry}\n" for entry in sorted(entries)))
+            paths[name].append(path)
+    return paths
+
+
 def run_pipeline(work, datasets, blocked, max_bucket=8, pii=False):
     """Write the bundles, run scan-pii (optional), evaluate and classify, and
-    return the CLI's tables next to the reference's."""
-    hosts = os.path.join(work, "hosts.txt")
-    with open(hosts, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"0.0.0.0 {name}\n" for name in sorted(blocked)))
+    return the CLI's tables next to the reference's. ``blocked`` is the set
+    of names one hosts file, list L, holds, or a mapping for write_lists."""
+    if isinstance(blocked, (set, frozenset)):
+        blocked = {"L": [(blocked, True)]}
+    list_paths = write_lists(work, blocked)
     spec = os.path.join(work, "spec.json")
     with open(spec, "w", encoding="utf-8") as fh:
         json.dump({"advertising_id": [ADID]}, fh)
@@ -93,7 +112,8 @@ def run_pipeline(work, datasets, blocked, max_bucket=8, pii=False):
         json.dump(
             {
                 "psl_path": PSL_PATH,
-                "lists": {"L": [hosts]},
+                "lists": list_paths,
+                "keywords": KEYWORDS,
                 "platform_markers": MARKERS,
                 "stop_tokens": sorted(STOPS),
                 "max_bucket": max_bucket,
@@ -114,11 +134,15 @@ def run_pipeline(work, datasets, blocked, max_bucket=8, pii=False):
         argv += ["--bundle", bundle_dir]
     assert main(argv) == 0
 
-    tables = ["penetration", "popularity_curve", "overlap"] + (["pii_table"] if pii else [])
+    tables = ["block_rates", "penetration", "popularity_curve", "fn_candidates", "overlap"]
+    tables += ["pii_table"] if pii else []
     got = {table: csv_rows(os.path.join(report, f"{table}.csv")) for table in tables}
     got["classifications"] = []
     want = {table: [] for table in got}
-    lists = {"L": set(blocked)}
+    lists = {
+        name: set().union(*(ref.parse_hosts(path) for path in paths))
+        for name, paths in list_paths.items()
+    }
     variants = ref.variant_set({"advertising_id": [ADID]})
     bundles = []
     for ds, bundle_dir in zip(datasets, bundle_dirs):
@@ -132,8 +156,10 @@ def run_pipeline(work, datasets, blocked, max_bucket=8, pii=False):
         )
         bundles.append(bundle)
         markers = set(MARKERS[ds.label])
+        want["block_rates"] += ref.block_rate_rows(bundle, lists)
         want["penetration"] += ref.penetration_rows(bundle, markers, STOPS)
         want["popularity_curve"] += ref.curve_rows(bundle, lists, max_bucket)
+        want["fn_candidates"] += ref.fn_rows(bundle, lists, set(KEYWORDS))
         want["classifications"] += reference_classifications(bundle, markers)
         if pii:
             want["pii_table"] += ref.pii_rows(bundle, variants, lists, markers, STOPS)
@@ -217,6 +243,14 @@ DEVELOPERS = [None, "Acme Media", "Zeta Inc", "Tracker Labs"]
 
 contact = st.tuples(st.sampled_from(NAMES), st.sampled_from(APPS), st.sampled_from(DEVELOPERS))
 
+# List entries: the contacted names and their parent domains, down to single labels.
+ENTRIES = NAMES + ["tracker.net", "zeta.co.uk", "newsy-feed.com", "co.uk", "com", "net"]
+LIST_FILE = st.tuples(st.sets(st.sampled_from(ENTRIES)), st.booleans())  # (entries, hosts format)
+# 2-4 lists; L0 is split over two files.
+LISTS = st.lists(LIST_FILE, min_size=3, max_size=5).map(
+    lambda files: {"L0": files[:2], **{f"L{i}": [f] for i, f in enumerate(files[2:], start=1)}}
+)
+
 
 def random_dataset(label, flows, txs):
     # Every bundle gets one attributed contact with a domain name, so the
@@ -239,17 +273,17 @@ class TestAgainstReference:
         roku_flows=st.lists(contact, max_size=12),
         roku_txs=st.lists(contact, max_size=4),
         firetv_flows=st.lists(contact, max_size=12),
-        blocked=st.sets(st.sampled_from(NAMES)),
+        lists=LISTS,
         max_bucket=st.integers(min_value=1, max_value=4),
     )
     def test_tables_equal_reference(
-        self, capsys, roku_flows, roku_txs, firetv_flows, blocked, max_bucket
+        self, capsys, roku_flows, roku_txs, firetv_flows, lists, max_bucket
     ):
         datasets = (
             random_dataset("Roku", roku_flows, roku_txs),
             random_dataset("FireTV", firetv_flows, []),
         )
         with tempfile.TemporaryDirectory() as work:
-            got, want = run_pipeline(work, datasets, blocked, max_bucket)
+            got, want = run_pipeline(work, datasets, lists, max_bucket)
         capsys.readouterr()
         assert got == want

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvblock import dnswire
+from tvblock import dnswire, sinkhole
+from tvblock.blocklists import BlockList
 from tvblock.dnswire import (
     RCODE_FORMERR,
     RCODE_NXDOMAIN,
@@ -218,3 +219,79 @@ class TestResponseProperties:
         assert len(raw) <= dnswire.MAX_UDP_PAYLOAD
         if not msg.header.tc:
             assert [(a.rtype, a.ttl, a.rdata) for a in msg.answers] == list(answers)
+
+
+def hexbytes(text):
+    return bytes.fromhex(text.replace(" ", ""))
+
+
+QNAME_HEX = "03 616473 07 6578616d706c65 03 636f6d 00"  # ads.example.com
+
+
+class TestReplyBytes:
+    """Every reply kind, byte for byte: the header bits the parsed-field tests
+    do not see (AA, Z, the NS and AR counts) are pinned here."""
+
+    CFG = {
+        mode: sinkhole.SinkholeConfig(active_lists=("L",), blocking_mode=mode, blocked_ttl=2)
+        for mode in ("null", "nxdomain")
+    }
+    LISTS = (BlockList("L", frozenset({"ads.example.com"})),)
+
+    def reply(self, query_hex, mode="null"):
+        return sinkhole.respond(hexbytes(query_hex), self.LISTS, self.CFG[mode]).response
+
+    def test_blocked_a_null(self):
+        query = f"beef 0100 0001 0000 0000 0000 {QNAME_HEX} 0001 0001"
+        assert self.reply(query) == hexbytes(
+            f"beef 8180 0001 0001 0000 0000 {QNAME_HEX} 0001 0001"
+            " c00c 0001 0001 00000002 0004 00000000"
+        )
+
+    def test_blocked_aaaa_null(self):
+        query = f"beef 0100 0001 0000 0000 0000 {QNAME_HEX} 001c 0001"
+        assert self.reply(query) == hexbytes(
+            f"beef 8180 0001 0001 0000 0000 {QNAME_HEX} 001c 0001"
+            " c00c 001c 0001 00000002 0010 00000000000000000000000000000000"
+        )
+
+    def test_blocked_mx_null_without_rd(self):
+        query = f"0007 0000 0001 0000 0000 0000 {QNAME_HEX} 000f 0001"
+        assert self.reply(query) == hexbytes(
+            f"0007 8080 0001 0000 0000 0000 {QNAME_HEX} 000f 0001"
+        )
+
+    def test_blocked_nxdomain_clears_aa_tc_z_and_keeps_opcode(self):
+        # opcode 2, AA, TC, RD, RA, Z = 7 and rcode 5 in the query
+        query = f"4242 17f5 0001 0000 0000 0000 {QNAME_HEX} 0001 0001"
+        assert self.reply(query, "nxdomain") == hexbytes(
+            f"4242 9183 0001 0000 0000 0000 {QNAME_HEX} 0001 0001"
+        )
+
+    def test_formerr_for_a_three_byte_datagram(self):
+        # the missing header bytes read as zero; opcode 15 and RD come from byte 3
+        assert self.reply("abcd 79") == hexbytes("abcd f981 0000 0000 0000 0000")
+
+    def test_formerr_for_two_questions(self):
+        question = "01 61 03 636f6d 00 0001 0001"
+        query = f"0505 0100 0002 0000 0000 0000 {question} {question}"
+        assert self.reply(query) == hexbytes("0505 8181 0000 0000 0000 0000")
+
+    def test_servfail(self):
+        query = hexbytes(f"beef 0100 0001 0000 0000 0000 {QNAME_HEX} 0001 0001")
+        outcome = sinkhole.Outcome(None, "forwarded")
+        assert sinkhole._servfail(query, None, 0, outcome)[2] == hexbytes(
+            "beef 8182 0000 0000 0000 0000"
+        )
+
+    def test_truncate_for_udp(self):
+        # AA, RA, Z = 7 and rcode 3: TC and QR set, Z dropped, counts but QD zeroed
+        data = hexbytes(f"0102 04f3 0001 0001 0001 0001 {QNAME_HEX} 0001 0001") + b"\0" * 600
+        assert truncate_for_udp(data) == hexbytes(
+            f"0102 8683 0001 0000 0000 0000 {QNAME_HEX} 0001 0001"
+        )
+
+    def test_build_query_without_rd(self):
+        assert build_query("ads.example.com", TYPE_AAAA, 0x1234, rd=False) == hexbytes(
+            f"1234 0000 0001 0000 0000 0000 {QNAME_HEX} 001c 0001"
+        )

@@ -188,6 +188,88 @@ def test_config_value_of_another_json_type_exits_2(corpus, tmp_path, overrides, 
     assert not out.exists()
 
 
+# -- nesting past the recursion limit, lone surrogates ------------------------
+
+DEEP = "[" * 100_000  # deeper than the interpreter's recursion limit
+
+
+def _classify_rows(bundle, out):
+    code, _, err = _main("classify", "--bundle", bundle, "--config", CORPUS_CONFIG, "--out", out)
+    return code, err, (out / "classifications.csv").read_text().splitlines()[2:]
+
+
+def test_deeply_nested_bundle_line_is_skipped_and_counted(corpus, tmp_path):
+    bundle = shutil.copytree(corpus / "bundle", tmp_path / "bundle")
+    with open(bundle / "flows.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(DEEP + "\n")
+    code, err, rows = _classify_rows(bundle, tmp_path / "out")
+    assert (code, err) == (0, f"warning: {bundle / 'flows.jsonl'}: skipped 1 unparsable lines\n")
+    assert rows == _classify_rows(corpus / "bundle", tmp_path / "clean")[2]
+
+
+def test_deeply_nested_config_exits_2(corpus, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(DEEP)
+    out = tmp_path / "out"
+    code, stdout, err = _main("classify", "--bundle", corpus / "bundle", "--config", config, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot load config {config}: nested too deeply")
+    assert not out.exists()
+
+
+def test_deeply_nested_pii_spec_exits_2(corpus, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(DEEP)
+    out = tmp_path / "out"
+    code, stdout, err = _main(
+        "scan-pii", "--bundle", corpus / "bundle", "--config", CORPUS_CONFIG,
+        "--pii-spec", spec, "--out", out,
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: invalid PII spec: nested too deeply")
+    assert not out.exists()
+
+
+def test_meta_json_platform_with_a_lone_surrogate_exits_2(corpus, tmp_path):
+    bundle = shutil.copytree(corpus / "bundle", tmp_path / "bundle")
+    (bundle / "meta.json").write_text('{"label": "Roku", "platform": "\\udc80"}\n')
+    out = tmp_path / "out"
+    code, stdout, err = _main("classify", "--bundle", bundle, "--config", CORPUS_CONFIG, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: corrupt bundle file {bundle / 'meta.json'}: lone surrogate")
+    assert not out.exists()
+
+
+def test_flow_line_with_a_lone_surrogate_is_skipped_at_ingest(tmp_path):
+    good = {"device_id": "d", "platform": "Roku", "fqdn": "ads.example.com", "start_time": 0,
+            "app_id": "Newsy"}
+    flows = tmp_path / "flows.jsonl"
+    flows.write_text(json.dumps(good) + "\n" + json.dumps({**good, "app_id": "\udc80"}) + "\n")
+    bundle = tmp_path / "bundle"
+    code, _, err = _main("ingest", "--flows", flows, "--platform", "roku", "--out", bundle)
+    assert code == 1
+    assert "warning: flows line 2: invalid JSON: lone surrogate in a string\n" in err
+    code, err, rows = _classify_rows(bundle, tmp_path / "out")
+    assert (code, err) == (0, "")
+    assert [row.split(",")[1] for row in rows] == ["Newsy"]
+
+
+def test_lists_manifest_with_a_path_that_is_no_string_exits_2(corpus, tmp_path):
+    manifest = tmp_path / "lists.json"
+    manifest.write_text('{"PD": [1]}')
+    out = tmp_path / "out"
+    code, stdout, err = _main(
+        "evaluate", "--bundle", corpus / "bundle", "--config", CORPUS_CONFIG,
+        "--lists", manifest, "--out", out,
+    )
+    assert (code, stdout) == (2, "")
+    assert err == (
+        f"error: cannot load lists manifest {manifest}: "
+        "lists manifest must map list names to arrays of paths\n"
+    )
+    assert not out.exists()
+
+
 # -- the strict reader --------------------------------------------------------
 
 
