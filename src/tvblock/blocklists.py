@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional, Sequence
 
-from .traffic import is_ip_literal, normalize_fqdn
+from .text import is_ip_literal, normalize_fqdn
 
 log = logging.getLogger(__name__)
 

@@ -3,6 +3,10 @@
 Subcommands: ingest | evaluate | scan-pii | classify | serve | version.
 Exit codes: 0 success, 1 partial (output produced with warnings), 2
 configuration or input error. Flags override config-file values.
+
+Each command imports the modules it runs when it runs, so a process pays
+for no other command's code: ``serve`` loads the config and list loaders
+and the sinkhole, ``ingest`` the config loader and the traffic model.
 """
 
 from __future__ import annotations
@@ -15,34 +19,16 @@ import os
 import signal
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import __version__, metrics, pii, psl, reports
+from . import __version__
 from .blocklists import MATCH_MODES, BlockList, build_list, is_blocked
 from .config import BLOCKING_MODES, GlobalConfig, load_config, load_lists_manifest
-from .party import (
-    DEFAULT_STOP_TOKENS,
-    build_context,
-    classify,
-    load_platform_processes,
-)
-from .traffic import (
-    KNOWN_PLATFORMS,
-    Dataset,
-    DatasetSummary,
-    FlowRecord,
-    HttpTransaction,
-    LogParseError,
-    MalformedLine,
-    Platform,
-    dataset_summary,
-    decode_json,
-    index_contacts,
-    iter_jsonl,
-    parse_flow_log,
-    parse_http_log,
-    read_jsonl,
-)
+from .text import KNOWN_PLATFORMS, decode_json
+
+if TYPE_CHECKING:
+    from . import pii, psl
+    from .traffic import Dataset, DatasetSummary
 
 log = logging.getLogger("tvblock")
 
@@ -62,6 +48,8 @@ class CliError(Exception):
 
 def write_bundle(out_dir: str, dataset: Dataset) -> DatasetSummary:
     """Write the bundle files and return the summary written to summary.json."""
+    from .traffic import dataset_summary
+
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "flows.jsonl"), "w", encoding="utf-8") as fh:
         for rec in dataset.records:
@@ -88,6 +76,8 @@ def _read_bundle_log(path: str, build, what: str):
 
     Skipped lines in an otherwise good file get one warning with their count.
     """
+    from .traffic import LogParseError, MalformedLine, iter_jsonl
+
     errors: list[MalformedLine] = []
     try:
         fh = open(path, encoding="utf-8")
@@ -107,6 +97,8 @@ def load_bundle(bundle_dir: str, keep_transactions: bool = False) -> Dataset:
 
     No flow record is kept; transactions are kept only when asked for.
     """
+    from .traffic import Dataset, FlowRecord, HttpTransaction, Platform, index_contacts
+
     meta_path = os.path.join(bundle_dir, "meta.json")
     flows_path = os.path.join(bundle_dir, "flows.jsonl")
     if not os.path.isdir(bundle_dir) or not os.path.exists(flows_path):
@@ -144,6 +136,9 @@ def load_bundle(bundle_dir: str, keep_transactions: bool = False) -> Dataset:
 
 
 def load_bundle_exposures(bundle_dir: str) -> Optional[list[pii.ExposureRecord]]:
+    from . import pii
+    from .traffic import read_jsonl
+
     path = os.path.join(bundle_dir, "exposures.jsonl")
     if not os.path.exists(path):
         return None
@@ -193,6 +188,8 @@ def _load_global_config(args) -> GlobalConfig:
 
 
 def _load_rules(cfg: GlobalConfig) -> psl.SuffixRules:
+    from . import psl
+
     if not cfg.psl_path:
         raise CliError("a PSL file is required (--psl or config psl_path)")
     try:
@@ -216,12 +213,16 @@ def _build_lists(cfg: GlobalConfig) -> list[BlockList]:
 
 
 def _stop_tokens(cfg: GlobalConfig):
+    from .party import DEFAULT_STOP_TOKENS
+
     if cfg.stop_tokens is None:
         return DEFAULT_STOP_TOKENS
     return frozenset(t.lower() for t in cfg.stop_tokens)
 
 
 def _load_processes(cfg: GlobalConfig) -> frozenset[str]:
+    from .party import load_platform_processes
+
     if not cfg.platform_processes_path:
         return frozenset()
     try:
@@ -232,6 +233,8 @@ def _load_processes(cfg: GlobalConfig) -> frozenset[str]:
 
 
 def _build_ctx(dataset: Dataset, rules, cfg: GlobalConfig, processes: frozenset[str]):
+    from .party import build_context
+
     markers = cfg.platform_markers.get(dataset.platform.name) if dataset.platform else None
     return build_context(
         dataset,
@@ -246,6 +249,8 @@ def _build_ctx(dataset: Dataset, rules, cfg: GlobalConfig, processes: frozenset[
 
 
 def cmd_ingest(args) -> int:
+    from .traffic import Dataset, LogParseError, Platform, parse_flow_log, parse_http_log
+
     cfg = _load_global_config(args)
     for path in [args.flows, args.http]:
         if path and not os.path.exists(path):
@@ -289,6 +294,8 @@ def cmd_ingest(args) -> int:
 
 def _block_rate_rows(dataset: Dataset, ctx, lists, cfg: GlobalConfig) -> list[tuple]:
     """Raw block_rates.csv rows, one per list."""
+    from . import metrics
+
     platform = dataset.platform.name if dataset.platform else dataset.label
     fqdns = dataset.index.domain_names()
     rows = []
@@ -317,6 +324,8 @@ def _flow_rate(dataset: Dataset, bl: BlockList, mode) -> Optional[float]:
 
 
 def _pii_rows(bundle_dir: str, dataset: Dataset, platform: str, notes: list[str]) -> list:
+    from . import metrics
+
     exposures = load_bundle_exposures(bundle_dir)
     if exposures is None:
         notes.append(f"no exposures.jsonl in {dataset.label}; run scan-pii for PII rows")
@@ -324,6 +333,9 @@ def _pii_rows(bundle_dir: str, dataset: Dataset, platform: str, notes: list[str]
 
 
 def cmd_evaluate(args) -> int:
+    from . import metrics, reports
+    from .traffic import dataset_summary
+
     cfg = _load_global_config(args)
     lists = _build_lists(cfg)
     rules = _load_rules(cfg)
@@ -461,6 +473,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_scan_pii(args) -> int:
+    from . import pii
+
     cfg = _load_global_config(args)
     spec_path = args.pii_spec or cfg.pii_spec_path
     if not spec_path or not os.path.exists(spec_path):
@@ -524,6 +538,9 @@ def cmd_scan_pii(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import reports
+    from .party import classify
+
     cfg = _load_global_config(args)
     rules = _load_rules(cfg)
     processes = _load_processes(cfg)
@@ -552,7 +569,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from . import sinkhole  # only serve loads the socket and thread code
+    from . import sinkhole  # each command imports what it runs; only serve runs sockets
 
     cfg = _load_global_config(args)
     lists = _build_lists(cfg)

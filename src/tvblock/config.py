@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .blocklists import MATCH_MODES, MatchMode
-from .traffic import decode_json
+from .text import decode_json
 
 BLOCKING_MODES = ("null", "nxdomain")
 

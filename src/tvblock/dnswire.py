@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 TYPE_A = 1
 TYPE_NS = 2
@@ -67,8 +66,7 @@ _QR, _AA, _TC, _RD, _RA = 1 << 15, 1 << 10, 1 << 9, 1 << 8, 1 << 7
 _OPCODE_SHIFT, _NIBBLE = 11, 0xF
 
 
-@dataclass(frozen=True)
-class Header:
+class Header(NamedTuple):
     txid: int
     qr: bool
     opcode: int
@@ -92,16 +90,14 @@ class Header:
         )
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(NamedTuple):
     qname: str
     qtype: int
     qclass: int
-    wire: bytes = field(compare=False)  # the name, type and class bytes as received
+    wire: bytes  # the name, type and class bytes as received
 
 
-@dataclass(frozen=True)
-class ResourceRecord:
+class ResourceRecord(NamedTuple):
     name: str
     rtype: int
     rclass: int
@@ -118,8 +114,7 @@ class ResourceRecord:
         raise WireError(f"record type {self.rtype} has no address form")
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     header: Header
     questions: tuple[Question, ...]
     answers: tuple[ResourceRecord, ...] = ()
@@ -230,7 +225,7 @@ def parse_message(data: bytes) -> Message:
 
 
 def build_query(qname: str, qtype: int, txid: int, rd: bool = True) -> bytes:
-    header = replace(parse_header(bytes(12)), txid=txid, rd=rd, qdcount=1)  # every flag clear but RD
+    header = parse_header(bytes(12))._replace(txid=txid, rd=rd, qdcount=1)  # every flag clear but RD
     return header.pack() + encode_name(qname) + struct.pack(">HH", qtype, CLASS_IN)
 
 
@@ -283,7 +278,7 @@ def truncate_for_udp(data: bytes, limit: int = MAX_UDP_PAYLOAD) -> bytes:
     for _ in range(header.qdcount):
         _, offset = decode_name(data, offset)
         offset += 4
-    truncated = replace(header, qr=True, tc=True, ancount=0, nscount=0, arcount=0)
+    truncated = header._replace(qr=True, tc=True, ancount=0, nscount=0, arcount=0)
     return truncated.pack() + data[12:offset]
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .traffic import is_ip_literal, normalize_fqdn
+from .text import is_ip_literal, normalize_fqdn
 
 Labels = tuple[str, ...]
 

@@ -1,4 +1,4 @@
-"""Loading a config: the keys it accepts, and that it (so every offline command) stays clear of the sinkhole."""
+"""Loading a config: the keys it accepts, that it (so every offline command) stays clear of the sinkhole, and what each command imports."""
 
 import json
 import os
@@ -25,6 +25,47 @@ def test_offline_modules_load_no_sinkhole_code(module):
         env=dict(os.environ, PYTHONPATH=src),
     ).stdout
     assert out.strip() == "[]"
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+PIPELINE = ["tvblock.metrics", "tvblock.party", "tvblock.pii", "tvblock.psl", "tvblock.reports"]
+
+
+def _loaded_after(code: str, names: list[str]) -> list[str]:
+    """Which of ``names`` are in sys.modules after ``code`` runs in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tvblock.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport json, sys\nprint(json.dumps(sorted(set({names!r}) & set(sys.modules))))"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_serve_loads_no_pipeline_code():
+    # hashlib is not pinned here: sinkhole's secrets loads it through hmac.
+    assert _loaded_after("import tvblock.cli, tvblock.sinkhole", ["tvblock.traffic", *PIPELINE]) == []
+    assert _loaded_after("import tvblock.cli", ["hashlib"]) == []
+
+
+def test_list_loaders_load_no_traffic_model():
+    code = "import tvblock.psl, tvblock.blocklists, tvblock.config"
+    assert _loaded_after(code, ["tvblock.traffic"]) == []
+
+
+def test_ingest_loads_no_scanner_or_metrics(tmp_path):
+    argv = [
+        "ingest",
+        "--config", os.path.join(DATA, "corpus_config.json"),
+        "--flows", os.path.join(DATA, "corpus", "roku_flows.jsonl"),
+        "--http", os.path.join(DATA, "corpus", "roku_http.jsonl"),
+        "--out", str(tmp_path / "roku"),
+    ]
+    code = f"from tvblock import cli\nassert cli.main({argv!r}) == 0"
+    assert _loaded_after(code, [*PIPELINE, "hashlib"]) == []
+    assert (tmp_path / "roku" / "flows.jsonl").exists()
 
 
 def test_sinkhole_config_still_importable_from_sinkhole():
