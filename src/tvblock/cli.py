@@ -485,11 +485,10 @@ def cmd_scan_pii(args) -> int:
     dataset = load_bundle(args.bundle, keep_transactions=True)
 
     pii.warn_if_world_readable(spec_path)
-    scan_cfg = pii.ScanConfig()
     try:
         with open(spec_path, encoding="utf-8") as fh:
             specs = pii.load_pii_specs(fh.read())
-        variants = pii.build_all_variants(specs, scan_cfg)
+        variants = pii.build_all_variants(specs)
     except OSError as exc:
         raise CliError(f"cannot read {spec_path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # InvalidMac and InvalidCoordinate included
@@ -507,7 +506,7 @@ def cmd_scan_pii(args) -> int:
         redacted_path, "w", encoding="utf-8"
     ) as red_fh:
         for tx in dataset.transactions:
-            found = pii.scan_transaction(tx, specs, scan_cfg, variants=variants)
+            found = pii.scan_transaction(tx, variants)
             attributed = pii.attribute_exposures(
                 found, ctx, lists, rules, cfg.match_mode, developers
             )
@@ -517,7 +516,7 @@ def cmd_scan_pii(args) -> int:
                 )
             total += len(attributed)
             red_fh.write(
-                json.dumps(pii.redact(tx, found, scan_cfg).to_json(), separators=(",", ":"))
+                json.dumps(pii.redact(tx, found).to_json(), separators=(",", ":"))
                 + "\n"
             )
     print(

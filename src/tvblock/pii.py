@@ -3,17 +3,16 @@
 Each configured PII value expands into a searchable variant set: the
 normalized plaintext plus its lowercase MD5 and SHA1 hex digests (trackers
 are known to hash identifiers before sending them). MAC addresses expand
-across separator formats and both hex cases before hashing; coordinates are
-truncated to a configurable precision. Scanning is case-insensitive
-substring search over the request URI (optionally percent-decoded once) and
-every header value.
+into colon, dash and bare-hex forms in both hex cases before hashing;
+coordinates are truncated to 3 decimals. Scanning is case-insensitive
+substring search over the request URI, percent-decoded once, and every
+header value. A request body is never scanned.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import logging
 import re
 import urllib.parse
@@ -65,10 +64,8 @@ class InvalidCoordinate(ValueError):
     pass
 
 
-MAC_FORMATS = ("colon", "dash", "bare-hex")
-
 URI_LOCATION = "uri"
-BODY_LOCATION = "body"
+LOCATION_DECIMALS = 3  # a coordinate is searched for truncated to this many decimals
 
 
 def header_location(name: str) -> str:
@@ -85,21 +82,6 @@ class PiiSpec:
     def __post_init__(self) -> None:
         if not self.raw_values:
             raise ValueError(f"{self.kind.value} spec has no raw values")
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    url_decode: bool = True
-    mac_formats: frozenset[str] = frozenset(MAC_FORMATS)
-    location_precision: int = 3
-    scan_bodies: bool = False
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.location_precision <= 6:
-            raise ValueError("location_precision must be in [1, 6]")
-        unknown = self.mac_formats - set(MAC_FORMATS)
-        if unknown:
-            raise ValueError(f"unknown MAC formats: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -193,23 +175,17 @@ _MAC_RE = re.compile(
 )
 
 
-def _mac_plaintexts(raw: str, formats: frozenset[str]) -> list[str]:
+def _mac_plaintexts(raw: str) -> list[str]:
     match = _MAC_RE.match(raw.strip())
     if not match:
         raise InvalidMac(f"not a MAC address: {raw!r}")
     octets = [g.lower() for g in match.groups()]
-    rendered = []
-    if "colon" in formats:
-        rendered.append(":".join(octets))
-    if "dash" in formats:
-        rendered.append("-".join(octets))
-    if "bare-hex" in formats:
-        rendered.append("".join(octets))
+    rendered = [sep.join(octets) for sep in (":", "-", "")]
     # Both hex cases participate, including in the hashed forms.
     return [form for text in rendered for form in (text, text.upper())]
 
 
-def _truncate_coordinate(value: str, precision: int) -> str:
+def _truncate_coordinate(value: str) -> str:
     value = value.strip()
     try:
         number = float(value)
@@ -220,19 +196,20 @@ def _truncate_coordinate(value: str, precision: int) -> str:
     if "." not in value:
         return value
     whole, frac = value.split(".", 1)
-    return f"{whole}.{frac[:precision]}" if frac[:precision] else whole
+    frac = frac[:LOCATION_DECIMALS]
+    return f"{whole}.{frac}" if frac else whole
 
 
-def _location_components(raw: str, precision: int) -> list[tuple[str, str]]:
+def _location_components(raw: str) -> list[tuple[str, str]]:
     parts = [p for p in raw.split(",") if p.strip()]
     if len(parts) != 2:
         raise InvalidCoordinate(f"location must be 'lat,long': {raw!r}")
-    lat = _truncate_coordinate(parts[0], precision)
-    lon = _truncate_coordinate(parts[1], precision)
-    return [("lat", lat), ("long", lon)]
+    return [("lat", _truncate_coordinate(parts[0])), ("long", _truncate_coordinate(parts[1]))]
 
 
 def _digest_variants(kind: PiiKind, plaintext: str, component: str = "") -> list[Variant]:
+    import hashlib  # here, so that importing pii for its types loads no OpenSSL
+
     data = plaintext.encode("utf-8")
     return [
         Variant(kind, Encoding.MD5, hashlib.md5(data).hexdigest(), component),
@@ -240,7 +217,7 @@ def _digest_variants(kind: PiiKind, plaintext: str, component: str = "") -> list
     ]
 
 
-def build_variants(spec: PiiSpec, cfg: ScanConfig = ScanConfig()) -> tuple[Variant, ...]:
+def build_variants(spec: PiiSpec) -> tuple[Variant, ...]:
     """Expand one PII spec into its searchable variant set.
 
     Every normalized plaintext form contributes itself plus MD5 and SHA1
@@ -254,12 +231,9 @@ def build_variants(spec: PiiSpec, cfg: ScanConfig = ScanConfig()) -> tuple[Varia
 
     for raw in spec.raw_values:
         if spec.kind is PiiKind.MAC_ADDRESS:
-            plaintexts = [(p, "") for p in _mac_plaintexts(raw, cfg.mac_formats)]
+            plaintexts = [(p, "") for p in _mac_plaintexts(raw)]
         elif spec.kind is PiiKind.LOCATION:
-            plaintexts = [
-                (text, component)
-                for component, text in _location_components(raw, cfg.location_precision)
-            ]
+            plaintexts = [(text, component) for component, text in _location_components(raw)]
         else:
             forms = [raw.strip()]
             if raw.strip().lower() != raw.strip():
@@ -274,40 +248,29 @@ def build_variants(spec: PiiSpec, cfg: ScanConfig = ScanConfig()) -> tuple[Varia
     return tuple(variants.values())
 
 
-def build_all_variants(
-    specs: Sequence[PiiSpec], cfg: ScanConfig = ScanConfig()
-) -> tuple[Variant, ...]:
+def build_all_variants(specs: Sequence[PiiSpec]) -> tuple[Variant, ...]:
+    """Every spec's variants, in spec order; build once per scan."""
     out: list[Variant] = []
     for spec in specs:
-        out.extend(build_variants(spec, cfg))
+        out.extend(build_variants(spec))
     return tuple(out)
 
 
-def _surfaces(tx: HttpTransaction, cfg: ScanConfig) -> list[tuple[str, str]]:
-    uri = urllib.parse.unquote(tx.uri) if cfg.url_decode else tx.uri
-    surfaces = [(URI_LOCATION, uri)]
+def _surfaces(tx: HttpTransaction) -> list[tuple[str, str]]:
+    surfaces = [(URI_LOCATION, urllib.parse.unquote(tx.uri))]
     surfaces.extend((header_location(name), value) for name, value in tx.headers)
-    if cfg.scan_bodies and tx.body is not None:
-        surfaces.append((BODY_LOCATION, tx.body))
     return surfaces
 
 
-def scan_transaction(
-    tx: HttpTransaction,
-    specs: Sequence[PiiSpec],
-    cfg: ScanConfig = ScanConfig(),
-    variants: Optional[Sequence[Variant]] = None,
-) -> list[ExposureRecord]:
+def scan_transaction(tx: HttpTransaction, variants: Sequence[Variant]) -> list[ExposureRecord]:
     """Find PII variants in one transaction's URI and header values.
 
     Emits one record per distinct (kind, encoding, location) hit; party and
     blocked_by stay unset. A location value only counts when both its
-    latitude and longitude appear somewhere in the same request. Pass a
-    prebuilt ``variants`` tuple when scanning many transactions.
+    latitude and longitude appear somewhere in the same request.
+    ``variants`` comes from build_all_variants().
     """
-    if variants is None:
-        variants = build_all_variants(specs, cfg)
-    surfaces = _surfaces(tx, cfg)
+    surfaces = _surfaces(tx)
 
     hits: dict[tuple[PiiKind, Encoding, str], set[str]] = {}
     location_halves: dict[Encoding, dict[str, list[tuple[str, str]]]] = {}
@@ -397,16 +360,13 @@ def attribute_exposures(
     return completed
 
 
-def redact(
-    tx: HttpTransaction,
-    records: Sequence[ExposureRecord],
-    cfg: ScanConfig = ScanConfig(),
-) -> HttpTransaction:
+def redact(tx: HttpTransaction, records: Sequence[ExposureRecord]) -> HttpTransaction:
     """Replace every matched PII span with REDACTED_<KIND>.
 
-    Matched needles are replaced wherever they occur in the scanned
-    surfaces, so re-scanning the result finds nothing. When the scan
-    percent-decodes URIs, the redacted URI is the decoded form.
+    Matched needles are replaced wherever they occur in the URI, the header
+    values and the body, so re-scanning the result finds nothing. The
+    redacted URI is the percent-decoded form that the scan searched. A
+    transaction with no records comes back unchanged, body included.
     """
     if not records:
         return tx
@@ -422,10 +382,9 @@ def redact(
             text = re.sub(re.escape(needle), token, text, flags=re.IGNORECASE)
         return text
 
-    uri = urllib.parse.unquote(tx.uri) if cfg.url_decode else tx.uri
     return dataclasses.replace(
         tx,
-        uri=scrub(uri),
+        uri=scrub(urllib.parse.unquote(tx.uri)),
         headers=tuple((name, scrub(value)) for name, value in tx.headers),
         body=scrub(tx.body) if tx.body is not None else None,
     )

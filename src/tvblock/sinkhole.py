@@ -22,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import secrets
+import random
 import selectors
 import socket
 import threading
@@ -41,6 +41,9 @@ _UPSTREAMS = 8  # upstream sockets, each on its own random source port
 _REOPEN_EVERY = 256  # forwarded queries between replacing the oldest upstream socket
 _BATCH = 64  # datagrams read from one socket per wake-up, so neither starves
 _POLL_S = 0.25  # longest select() wait, so stop() is noticed
+# Pool slots and txids come from the OS's random source, as the secrets module
+# draws them, without the hashlib that importing secrets loads.
+RNG = random.SystemRandom()
 
 
 class BindFailure(OSError):
@@ -127,10 +130,10 @@ class Forwarder:
         or None when MAX_PENDING queries wait. A None query is shed, not queued."""
         if len(self.pending) >= MAX_PENDING:
             return None
-        slot = secrets.choice(self.slots)
-        txid = secrets.randbits(16)
+        slot = RNG.choice(self.slots)
+        txid = RNG.getrandbits(16)
         while (slot, txid) in self.pending:
-            txid = secrets.randbits(16)
+            txid = RNG.getrandbits(16)
         self.pending[slot, txid] = (now + self.timeout_ns, query, client, now, outcome)
         return slot, dnswire.set_txid(query, txid)
 

@@ -22,7 +22,6 @@ from tvblock.pii import (
     Encoding,
     PiiKind,
     PiiSpec,
-    ScanConfig,
     build_all_variants,
     build_variants,
     redact,
@@ -277,8 +276,7 @@ def test_criterion_pii_scanner_completeness():
     rng = random.Random(2024)
     values = _plant_values(rng)
     specs = [PiiSpec(kind, tuple(vals)) for kind, vals in values.items()]
-    cfg = ScanConfig()
-    variants = build_all_variants(specs, cfg)
+    variants = build_all_variants(specs)
 
     def needle_for(kind, encoding):
         for v in variants:
@@ -330,19 +328,19 @@ def test_criterion_pii_scanner_completeness():
 
     found = []
     for i, tx in enumerate(transactions):
-        for record in scan_transaction(tx, specs, cfg, variants=variants):
+        for record in scan_transaction(tx, variants):
             found.append((i, record.pii_kind, record.encoding, record.location))
     assert sorted(found) == sorted(manifest)  # recall 100%, zero false positives
 
     for i, tx in enumerate(transactions):
-        records = scan_transaction(tx, specs, cfg, variants=variants)
-        assert scan_transaction(redact(tx, records, cfg), specs, cfg, variants=variants) == []
+        records = scan_transaction(tx, variants)
+        assert scan_transaction(redact(tx, records), variants) == []
 
     rng2 = random.Random(77)
     alphabet = "abcdefghijklmnopqrstuvwxyz0123456789@._-"
     for _ in range(100):
         value = "".join(rng2.choice(alphabet) for _ in range(rng2.randrange(1, 48)))
-        vs = build_variants(PiiSpec(PiiKind.DEVICE_ID, (value,)), cfg)
+        vs = build_variants(PiiSpec(PiiKind.DEVICE_ID, (value,)))
         md5s = {v.needle for v in vs if v.encoding is Encoding.MD5}
         sha1s = {v.needle for v in vs if v.encoding is Encoding.SHA1}
         assert md5_oracle(value.encode()) in md5s

@@ -9,6 +9,8 @@ import pytest
 
 import tvblock
 
+from make_golden import scan_pii_outputs
+
 
 @pytest.mark.parametrize("module", ["tvblock.config", "tvblock.cli"])
 def test_offline_modules_load_no_sinkhole_code(module):
@@ -45,9 +47,9 @@ def _loaded_after(code: str, names: list[str]) -> list[str]:
 
 
 def test_serve_loads_no_pipeline_code():
-    # hashlib is not pinned here: sinkhole's secrets loads it through hmac.
     assert _loaded_after("import tvblock.cli, tvblock.sinkhole", ["tvblock.traffic", *PIPELINE]) == []
     assert _loaded_after("import tvblock.cli", ["hashlib"]) == []
+    assert _loaded_after("import tvblock.cli, tvblock.sinkhole", ["hashlib"]) == []
 
 
 def test_list_loaders_load_no_traffic_model():
@@ -66,6 +68,21 @@ def test_ingest_loads_no_scanner_or_metrics(tmp_path):
     code = f"from tvblock import cli\nassert cli.main({argv!r}) == 0"
     assert _loaded_after(code, [*PIPELINE, "hashlib"]) == []
     assert (tmp_path / "roku" / "flows.jsonl").exists()
+
+
+def test_evaluate_loads_no_hashlib(tmp_path):
+    """evaluate reads exposures but never hashes, so it loads no OpenSSL."""
+    scan_pii_outputs(str(tmp_path))
+    argv = [
+        "evaluate",
+        "--config", os.path.join(DATA, "corpus_config.json"),
+        "--bundle", str(tmp_path / "roku"),
+        "--bundle", str(tmp_path / "firetv"),
+        "--out", str(tmp_path / "report"),
+    ]
+    code = f"from tvblock import cli\nassert cli.main({argv!r}) == 0"
+    assert _loaded_after(code, ["hashlib"]) == []
+    assert (tmp_path / "report" / "pii_table.csv").exists()
 
 
 def test_sinkhole_config_still_importable_from_sinkhole():

@@ -7,7 +7,6 @@ machine does the same.
 
 import random
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Optional
 
 import pytest
@@ -72,11 +71,8 @@ class ForwarderMachine(RuleBasedStateMachine):
     def patch(self, seed):
         """A small MAX_PENDING, so that queries are shed, and slot and txid
         choices from a seeded generator, so that a failing run replays."""
-        rng = random.Random(seed)
         self.patches.setattr(sinkhole, "MAX_PENDING", CAP)
-        self.patches.setattr(
-            sinkhole, "secrets", SimpleNamespace(choice=rng.choice, randbits=rng.getrandbits)
-        )
+        self.patches.setattr(sinkhole, "RNG", random.Random(seed))
 
     def teardown(self):
         self.patches.undo()

@@ -13,7 +13,6 @@ from tvblock.pii import (
     InvalidMac,
     PiiKind,
     PiiSpec,
-    ScanConfig,
     attribute_exposures,
     build_all_variants,
     build_variants,
@@ -123,7 +122,7 @@ class TestDigestOracles:
         for _ in range(100):
             value = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 40)))
             spec = PiiSpec(PiiKind.DEVICE_ID, (value,))
-            variants = build_variants(spec, ScanConfig())
+            variants = build_variants(spec)
             md5s = needles(variants, Encoding.MD5)
             sha1s = needles(variants, Encoding.SHA1)
             assert md5_oracle(value.encode()) in md5s
@@ -141,11 +140,17 @@ class TestBuildVariants:
 
     def test_mac_bare_hex_expansion(self):
         spec = PiiSpec(PiiKind.MAC_ADDRESS, ("AA:BB:CC:DD:EE:FF",))
-        variants = build_variants(spec, ScanConfig(mac_formats=frozenset({"bare-hex"})))
+        variants = build_variants(spec)
         plains = needles(variants, Encoding.PLAIN)
-        assert plains == {"aabbccddeeff", "AABBCCDDEEFF"}
+        assert plains == {
+            "aa:bb:cc:dd:ee:ff", "AA:BB:CC:DD:EE:FF",
+            "aa-bb-cc-dd-ee-ff", "AA-BB-CC-DD-EE-FF",
+            "aabbccddeeff", "AABBCCDDEEFF",
+        }
         # digests cover both hex cases
-        assert len(needles(variants, Encoding.MD5)) == 2
+        md5s = needles(variants, Encoding.MD5)
+        assert len(md5s) == 6
+        assert {md5_oracle(b"aabbccddeeff"), md5_oracle(b"AABBCCDDEEFF")} <= md5s
 
     def test_mac_all_formats(self):
         spec = PiiSpec(PiiKind.MAC_ADDRESS, ("aa-bb-cc-dd-ee-ff",))
@@ -160,7 +165,7 @@ class TestBuildVariants:
 
     def test_location_truncation(self):
         spec = PiiSpec(PiiKind.LOCATION, ("33.6846,-117.8265",))
-        variants = build_variants(spec, ScanConfig(location_precision=3))
+        variants = build_variants(spec)
         plains = needles(variants, Encoding.PLAIN)
         assert plains == {"33.684", "-117.826"}
 
@@ -189,83 +194,74 @@ SPECS = [
     PiiSpec(PiiKind.SERIAL_NUMBER, (SERIAL,)),
     PiiSpec(PiiKind.LOCATION, ("33.6846,-117.8265",)),
 ]
+VARIANTS = build_all_variants(SPECS)
 
 
 class TestScanTransaction:
     def test_plain_adid_in_uri(self):
-        records = scan_transaction(tx(uri=f"/GetAds?adid={ADID}"), SPECS)
+        records = scan_transaction(tx(uri=f"/GetAds?adid={ADID}"), VARIANTS)
         assert [(r.pii_kind, r.encoding, r.location) for r in records] == [
             (PiiKind.ADVERTISING_ID, Encoding.PLAIN, "uri")
         ]
 
     def test_sha1_serial_in_header(self):
         digest = sha1_oracle(SERIAL.encode())
-        records = scan_transaction(tx(headers=[("X-Dev", digest)]), SPECS)
+        records = scan_transaction(tx(headers=[("X-Dev", digest)]), VARIANTS)
         assert [(r.pii_kind, r.encoding, r.location) for r in records] == [
             (PiiKind.SERIAL_NUMBER, Encoding.SHA1, "header:X-Dev")
         ]
 
     def test_clean_transaction_yields_nothing(self):
-        assert scan_transaction(tx(uri="/innocent?x=1"), SPECS) == []
+        assert scan_transaction(tx(uri="/innocent?x=1"), VARIANTS) == []
 
     def test_multiple_kinds_in_one_request(self):
         records = scan_transaction(
-            tx(uri=f"/r?adid={ADID}&sn={SERIAL}"), SPECS
+            tx(uri=f"/r?adid={ADID}&sn={SERIAL}"), VARIANTS
         )
         kinds = {r.pii_kind for r in records}
         assert kinds == {PiiKind.ADVERTISING_ID, PiiKind.SERIAL_NUMBER}
 
     def test_repeat_occurrences_deduplicate(self):
-        records = scan_transaction(tx(uri=f"/r?a={ADID}&b={ADID}"), SPECS)
+        records = scan_transaction(tx(uri=f"/r?a={ADID}&b={ADID}"), VARIANTS)
         assert len(records) == 1
 
     def test_percent_encoded_values_found_after_decoding(self):
         records = scan_transaction(
             tx(uri="/r?user=pat.fixture%40example.com"),
-            [PiiSpec(PiiKind.ACCOUNT_NAME, ("pat.fixture@example.com",))],
+            build_all_variants([PiiSpec(PiiKind.ACCOUNT_NAME, ("pat.fixture@example.com",))]),
         )
         assert len(records) == 1
 
-    def test_url_decode_can_be_disabled(self):
-        records = scan_transaction(
-            tx(uri="/r?user=pat.fixture%40example.com"),
-            [PiiSpec(PiiKind.ACCOUNT_NAME, ("pat.fixture@example.com",))],
-            ScanConfig(url_decode=False),
-        )
-        assert records == []
-
     def test_location_requires_both_halves(self):
-        lat_only = scan_transaction(tx(uri="/r?lat=33.6846"), SPECS)
+        lat_only = scan_transaction(tx(uri="/r?lat=33.6846"), VARIANTS)
         assert lat_only == []
-        both = scan_transaction(tx(uri="/r?lat=33.6846&long=-117.8265"), SPECS)
+        both = scan_transaction(tx(uri="/r?lat=33.6846&long=-117.8265"), VARIANTS)
         assert [(r.pii_kind, r.encoding) for r in both] == [
             (PiiKind.LOCATION, Encoding.PLAIN)
         ]
 
     def test_location_halves_may_split_across_surfaces(self):
         records = scan_transaction(
-            tx(uri="/r?lat=33.6846", headers=[("X-Long", "-117.8265")]), SPECS
+            tx(uri="/r?lat=33.6846", headers=[("X-Long", "-117.8265")]), VARIANTS
         )
         assert len(records) == 1
 
     def test_uppercase_hex_digest_matches_case_insensitively(self):
         digest = md5_oracle(ADID.encode()).upper()
-        records = scan_transaction(tx(uri=f"/r?h={digest}"), SPECS)
+        records = scan_transaction(tx(uri=f"/r?h={digest}"), VARIANTS)
         assert [(r.pii_kind, r.encoding) for r in records] == [
             (PiiKind.ADVERTISING_ID, Encoding.MD5)
         ]
 
-    def test_body_scanned_only_when_enabled(self):
+    def test_body_is_never_scanned(self):
         t = tx(uri="/r", body=f"adid={ADID}")
-        assert scan_transaction(t, SPECS) == []
-        records = scan_transaction(t, SPECS, ScanConfig(scan_bodies=True))
-        assert [r.location for r in records] == ["body"]
+        assert scan_transaction(t, VARIANTS) == []
 
 
 class TestScanCompletenessOracle:
     def test_matches_brute_force_position_scan(self):
         rng = random.Random(77)
-        variants = build_all_variants(SPECS, ScanConfig())
+        variants = build_all_variants(SPECS)
         plain_needles = sorted(needles(variants), key=len)
         for _ in range(60):
             pieces = []
@@ -277,7 +273,7 @@ class TestScanCompletenessOracle:
             uri = "/q?" + "".join(pieces)
             header_val = rng.choice(plain_needles) if rng.random() < 0.5 else "clean"
             t = tx(uri=uri, headers=[("X-H", header_val)])
-            records = scan_transaction(t, SPECS)
+            records = scan_transaction(t, variants)
             surfaces = {"uri": uri, "header:Host": "", "header:X-H": header_val}
             found = set()
             halves = {}
@@ -304,24 +300,24 @@ class TestScanCompletenessOracle:
 class TestRedact:
     def test_uri_redaction_token(self):
         t = tx(uri=f"/p?adid={ADID}")
-        records = scan_transaction(t, SPECS)
+        records = scan_transaction(t, VARIANTS)
         out = redact(t, records)
         assert out.uri == "/p?adid=REDACTED_ADVERTISINGID"
 
     def test_no_matches_is_identity(self):
         t = tx(uri="/p?x=1")
-        assert redact(t, scan_transaction(t, SPECS)) == t
+        assert redact(t, scan_transaction(t, VARIANTS)) == t
 
     def test_two_matches_both_replaced(self):
         t = tx(uri=f"/p?a={ADID}&sn={SERIAL}")
-        out = redact(t, scan_transaction(t, SPECS))
+        out = redact(t, scan_transaction(t, VARIANTS))
         assert "REDACTED_ADVERTISINGID" in out.uri
         assert "REDACTED_SERIALNUMBER" in out.uri
         assert ADID not in out.uri and SERIAL not in out.uri
 
     def test_rescan_of_redacted_is_empty(self):
         rng = random.Random(55)
-        variants = build_all_variants(SPECS, ScanConfig())
+        variants = build_all_variants(SPECS)
         pool = sorted(needles(variants))
         for _ in range(40):
             uri = "/x?" + "&".join(
@@ -329,14 +325,28 @@ class TestRedact:
             )
             headers = [("X-A", rng.choice(pool)), ("X-B", "clean-value")]
             t = tx(uri=uri, headers=headers)
-            records = scan_transaction(t, SPECS)
+            records = scan_transaction(t, variants)
             out = redact(t, records)
-            assert scan_transaction(out, SPECS) == []
+            assert scan_transaction(out, variants) == []
 
     def test_header_values_redacted(self):
         t = tx(headers=[("X-Serial", SERIAL)])
-        out = redact(t, scan_transaction(t, SPECS))
+        out = redact(t, scan_transaction(t, VARIANTS))
         assert out.header("X-Serial") == "REDACTED_SERIALNUMBER"
+
+    def test_redacted_uri_is_percent_decoded(self):
+        t = tx(uri=f"/p?adid={ADID}&q=a%20b%2Fc")
+        out = redact(t, scan_transaction(t, VARIANTS))
+        assert out.uri == "/p?adid=REDACTED_ADVERTISINGID&q=a b/c"
+
+    def test_body_scrubbed_of_needles_found_elsewhere(self):
+        t = tx(
+            uri=f"/p?adid={ADID}",
+            headers=[("X-Serial", SERIAL)],
+            body=f"a={ADID.upper()}&s={SERIAL}&x=1",
+        )
+        out = redact(t, scan_transaction(t, VARIANTS))
+        assert out.body == "a=REDACTED_ADVERTISINGID&s=REDACTED_SERIALNUMBER&x=1"
 
 
 class TestAttributeExposures:
@@ -358,7 +368,7 @@ class TestAttributeExposures:
         records = []
         for fqdn in ("pii.listed.com", "pii.unlisted.com"):
             records.extend(
-                scan_transaction(tx(uri=f"/r?adid={ADID}", fqdn=fqdn), SPECS)
+                scan_transaction(tx(uri=f"/r?adid={ADID}", fqdn=fqdn), VARIANTS)
             )
         done = attribute_exposures(records, self._ctx(), self._lists(), rules)
         assert len(done) == 2
@@ -369,20 +379,20 @@ class TestAttributeExposures:
 
     def test_platform_marker_party(self, rules):
         records = scan_transaction(
-            tx(uri=f"/r?adid={ADID}", fqdn="p.ads.roku.com"), SPECS
+            tx(uri=f"/r?adid={ADID}", fqdn="p.ads.roku.com"), VARIANTS
         )
         done = attribute_exposures(records, self._ctx(), self._lists(), rules)
         assert done[0].party is PartyLabel.PLATFORM
         assert done[0].esld == "roku.com"
 
     def test_ip_destination_stays_undetermined(self, rules):
-        records = scan_transaction(tx(uri=f"/r?adid={ADID}", fqdn="10.1.2.3"), SPECS)
+        records = scan_transaction(tx(uri=f"/r?adid={ADID}", fqdn="10.1.2.3"), VARIANTS)
         done = attribute_exposures(records, self._ctx(), self._lists(), rules)
         assert done[0].party is PartyLabel.UNDETERMINED
         assert done[0].esld == "10.1.2.3"
 
     def test_serialization_roundtrip_drops_matched_values(self, rules):
-        records = scan_transaction(tx(uri=f"/r?adid={ADID}", fqdn="pii.listed.com"), SPECS)
+        records = scan_transaction(tx(uri=f"/r?adid={ADID}", fqdn="pii.listed.com"), VARIANTS)
         done = attribute_exposures(records, self._ctx(), self._lists(), rules)
         obj = done[0].to_json()
         assert "matched_values" not in obj
