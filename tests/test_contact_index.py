@@ -6,7 +6,9 @@ first non-None one, classifications.csv the first seen per (app, eSLD)
 pair. The generated corpora never tell these apart, so a hand-built pair of
 bundles does here, and a property runs small random bundles with IP
 literals, unattributed flows and late developers, against 2-4 random lists,
-through the CLI.
+through the CLI, in either match mode and with or without flow weighting.
+Suffix-mode tables and the flow-weighted cells have no reference code of
+their own; they are brute-forced here from the reference's match rules.
 """
 
 import csv
@@ -97,7 +99,29 @@ def write_lists(work, lists):
     return paths
 
 
-def run_pipeline(work, datasets, blocked, max_bucket=8, pii=False):
+def flow_rate_cells(bundle, entries):
+    """flow_rate_exact and flow_rate_suffix of one list: the share of flow
+    records, IP literals dropped, whose name the list blocks."""
+    names = [f["fqdn"] for f in bundle.flows if not ref.is_ip(f["fqdn"])]
+    return [
+        ref.pct(100.0 * sum(1 for n in names if blocked(n, entries)) / len(names))
+        for blocked in (ref.blocked_exact, ref.blocked_suffix)
+    ]
+
+
+def suffix_lists(bundle, lists):
+    """Each list as the contacted names it blocks in suffix mode, so that the
+    reference's exact-mode tables give the suffix-mode ones."""
+    names = bundle.domain_fqdns()
+    return {
+        name: {f for f in names if ref.blocked_suffix(f, entries)}
+        for name, entries in lists.items()
+    }
+
+
+def run_pipeline(
+    work, datasets, blocked, max_bucket=8, pii=False, match_mode="exact", flow_weighted=False
+):
     """Write the bundles, run scan-pii (optional), evaluate and classify, and
     return the CLI's tables next to the reference's. ``blocked`` is the set
     of names one hosts file, list L, holds, or a mapping for write_lists."""
@@ -118,6 +142,8 @@ def run_pipeline(work, datasets, blocked, max_bucket=8, pii=False):
                 "stop_tokens": sorted(STOPS),
                 "max_bucket": max_bucket,
                 "pii_spec_path": spec,
+                "match_mode": match_mode,
+                "flow_weighted": flow_weighted,
             },
             fh,
         )
@@ -156,13 +182,17 @@ def run_pipeline(work, datasets, blocked, max_bucket=8, pii=False):
         )
         bundles.append(bundle)
         markers = set(MARKERS[ds.label])
-        want["block_rates"] += ref.block_rate_rows(bundle, lists)
+        matched = suffix_lists(bundle, lists) if match_mode == "suffix" else lists
+        want["block_rates"] += [
+            row + flow_rate_cells(bundle, entries) if flow_weighted else row
+            for row, entries in zip(ref.block_rate_rows(bundle, lists), lists.values())
+        ]
         want["penetration"] += ref.penetration_rows(bundle, markers, STOPS)
-        want["popularity_curve"] += ref.curve_rows(bundle, lists, max_bucket)
-        want["fn_candidates"] += ref.fn_rows(bundle, lists, set(KEYWORDS))
+        want["popularity_curve"] += ref.curve_rows(bundle, matched, max_bucket)
+        want["fn_candidates"] += ref.fn_rows(bundle, matched, set(KEYWORDS))
         want["classifications"] += reference_classifications(bundle, markers)
         if pii:
-            want["pii_table"] += ref.pii_rows(bundle, variants, lists, markers, STOPS)
+            want["pii_table"] += ref.pii_rows(bundle, variants, matched, markers, STOPS)
     want["overlap"] = ref.overlap_rows(bundles[0], bundles[1], STOPS)
     return got, {table: as_text(rows) for table, rows in want.items()}
 
@@ -275,15 +305,28 @@ class TestAgainstReference:
         firetv_flows=st.lists(contact, max_size=12),
         lists=LISTS,
         max_bucket=st.integers(min_value=1, max_value=4),
+        match_mode=st.sampled_from(["exact", "suffix"]),
+        flow_weighted=st.booleans(),
     )
     def test_tables_equal_reference(
-        self, capsys, roku_flows, roku_txs, firetv_flows, lists, max_bucket
+        self,
+        capsys,
+        roku_flows,
+        roku_txs,
+        firetv_flows,
+        lists,
+        max_bucket,
+        match_mode,
+        flow_weighted,
     ):
         datasets = (
             random_dataset("Roku", roku_flows, roku_txs),
             random_dataset("FireTV", firetv_flows, []),
         )
         with tempfile.TemporaryDirectory() as work:
-            got, want = run_pipeline(work, datasets, lists, max_bucket)
+            got, want = run_pipeline(
+                work, datasets, lists, max_bucket, match_mode=match_mode,
+                flow_weighted=flow_weighted,
+            )
         capsys.readouterr()
         assert got == want

@@ -1,4 +1,5 @@
-"""A fresh ingest + scan-pii run on the corpus against the committed goldens.
+"""Fresh runs on the corpus, and respond() on a fixed query set, against the
+committed goldens.
 
 On a difference the test prints a unified diff. A change that alters an
 output on purpose regenerates the goldens with tests/make_golden.py.
@@ -9,7 +10,7 @@ import os
 
 import pytest
 
-from make_golden import GOLDEN, GOLDEN_FILES, golden_texts
+from make_golden import GOLDEN, PIPELINE_FILES, SCAN_PII_FILES, golden_texts
 
 
 @pytest.fixture(scope="module")
@@ -17,9 +18,8 @@ def fresh(tmp_path_factory):
     return golden_texts(str(tmp_path_factory.mktemp("golden")))
 
 
-@pytest.mark.parametrize("rel", GOLDEN_FILES)
-def test_scan_pii_matches_golden(fresh, rel):
-    with open(os.path.join(GOLDEN, rel), encoding="utf-8") as fh:
+def check(fresh, rel):
+    with open(os.path.join(GOLDEN, rel), encoding="utf-8", newline="") as fh:
         want = fh.read()
     got = fresh[rel]
     if got != want:
@@ -30,3 +30,17 @@ def test_scan_pii_matches_golden(fresh, rel):
             tofile=f"fresh/{rel}",
         )
         pytest.fail("output differs from its golden:\n" + "".join(diff), pytrace=False)
+
+
+@pytest.mark.parametrize("rel", SCAN_PII_FILES)
+def test_scan_pii_matches_golden(fresh, rel):
+    check(fresh, f"scan_pii/{rel}")
+
+
+@pytest.mark.parametrize("rel", PIPELINE_FILES)
+def test_evaluate_classify_match_golden(fresh, rel):
+    check(fresh, rel)
+
+
+def test_respond_matches_golden(fresh):
+    check(fresh, "respond.jsonl")
