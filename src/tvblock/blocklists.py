@@ -4,6 +4,11 @@ Blocklists are curated hosts files ("0.0.0.0 domain" / "127.0.0.1 domain")
 or bare-domain files. Entries are stored in a hash set keyed by normalized
 domain so per-query lookups stay O(1) for the sinkhole's latency budget.
 
+``blocked_by`` is the one list question: it works out once which entries
+would block a name and answers for every list together, with the set of
+the names of the lists that block it. ``is_blocked`` is the same rule for
+one list.
+
 Loading is linear in the file with no per-line address parse: the leading
 address column is parsed once per file, and a domain token reaches
 ``ipaddress`` only when it could be an address (it ends in a digit or
@@ -66,16 +71,6 @@ class BlockList:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class BlockVerdict:
-    fqdn: str
-    blocked_by: frozenset[str]
-
-    @property
-    def blocked(self) -> bool:
-        return bool(self.blocked_by)
-
-
 def parse_hosts_list(
     text: str, diagnostics: Optional[list[HostsLineDiagnostic]] = None
 ) -> set[str]:
@@ -130,28 +125,29 @@ def build_list(name: str, files: Sequence[str]) -> BlockList:
     return BlockList(name=name, entries=frozenset(entries))
 
 
-def is_blocked(fqdn: str, blocklist: BlockList, mode: MatchMode = "exact") -> bool:
-    """Whether a list blocks the name.
-
-    exact: the name itself is an entry (faithful hosts-file semantics).
-    suffix: the name or any dot-boundary parent domain is an entry.
-    """
-    if mode == "exact":
-        return fqdn in blocklist.entries
-    if mode != "suffix":
-        raise ValueError(f"unknown match mode {mode!r}")
-    parts = fqdn.split(".")
-    return any(".".join(parts[i:]) in blocklist.entries for i in range(len(parts)))
-
-
 def blocked_by(
     fqdn: str, lists: Sequence[BlockList], mode: MatchMode = "exact"
-) -> BlockVerdict:
-    """Name every list that blocks the fqdn under the given mode."""
-    if not lists:
-        raise BlocklistError("blocked_by requires at least one list")
-    names = frozenset(bl.name for bl in lists if is_blocked(fqdn, bl, mode))
-    return BlockVerdict(fqdn=fqdn, blocked_by=names)
+) -> frozenset[str]:
+    """The names of the lists that block the fqdn; empty when none does.
+
+    The entries that would block the name are worked out once:
+    exact: the name itself (faithful hosts-file semantics);
+    suffix: the name and each of its dot-boundary parent domains.
+    A list blocks the name when it holds any of them.
+    """
+    if mode == "exact":
+        keys: Sequence[str] = (fqdn,)
+    elif mode == "suffix":
+        parts = fqdn.split(".")
+        keys = [".".join(parts[i:]) for i in range(len(parts))]
+    else:
+        raise ValueError(f"unknown match mode {mode!r}")
+    return frozenset(bl.name for bl in lists if not bl.entries.isdisjoint(keys))
+
+
+def is_blocked(fqdn: str, blocklist: BlockList, mode: MatchMode = "exact") -> bool:
+    """Whether one list blocks the name: blocked_by's rule for a single list."""
+    return bool(blocked_by(fqdn, (blocklist,), mode))
 
 
 def union_lists(lists: Iterable[BlockList], name: str = "union") -> BlockList:

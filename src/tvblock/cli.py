@@ -22,7 +22,7 @@ import time
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .blocklists import MATCH_MODES, BlockList, build_list, is_blocked
+from .blocklists import MATCH_MODES, BlockList, blocked_by, build_list
 from .config import BLOCKING_MODES, GlobalConfig, load_config, load_lists_manifest
 from .text import KNOWN_PLATFORMS, decode_json
 
@@ -293,34 +293,46 @@ def cmd_ingest(args) -> int:
 
 
 def _block_rate_rows(dataset: Dataset, ctx, lists, cfg: GlobalConfig) -> list[tuple]:
-    """Raw block_rates.csv rows, one per list."""
-    from . import metrics
+    """Raw block_rates.csv rows, one per list.
+
+    One pass asks blocked_by once per distinct domain name and match mode,
+    and adds up each list's blocked names (rate_*) and their flow records
+    (flow_rate_*). IP literals count in neither.
+    """
+    from collections import Counter
 
     platform = dataset.platform.name if dataset.platform else dataset.label
-    fqdns = dataset.index.domain_names()
+    fqdn_count = flow_count = 0
+    # per mode: list name -> the names it blocks, and -> their flow records
+    blocked = {mode: Counter() for mode in MATCH_MODES}
+    blocked_flows = {mode: Counter() for mode in MATCH_MODES}
+    for name, (is_ip, flows) in dataset.index.names.items():
+        if is_ip:
+            continue
+        fqdn_count += 1
+        flow_count += flows
+        for mode in MATCH_MODES:
+            for list_name in blocked_by(name, lists, mode):
+                blocked[mode][list_name] += 1
+                blocked_flows[mode][list_name] += flows
+
+    def rate(hits: int, total: int) -> Optional[float]:
+        return 100.0 * hits / total if total else None
+
     rows = []
     for bl in lists:
         row = (
             platform,
             bl.name,
-            len(fqdns),
+            fqdn_count,
             len(ctx.esld_to_apps),
-            metrics.block_rate(fqdns, bl, "exact") if fqdns else None,
-            metrics.block_rate(fqdns, bl, "suffix") if fqdns else None,
+            rate(blocked["exact"][bl.name], fqdn_count),
+            rate(blocked["suffix"][bl.name], fqdn_count),
         )
         if cfg.flow_weighted:
-            row += (_flow_rate(dataset, bl, "exact"), _flow_rate(dataset, bl, "suffix"))
+            row += tuple(rate(blocked_flows[m][bl.name], flow_count) for m in ("exact", "suffix"))
         rows.append(row)
     return rows
-
-
-def _flow_rate(dataset: Dataset, bl: BlockList, mode) -> Optional[float]:
-    flows = {name: n for name, (is_ip, n) in dataset.index.names.items() if n and not is_ip}
-    total = sum(flows.values())
-    if not total:
-        return None
-    hits = sum(n for name, n in flows.items() if is_blocked(name, bl, mode))
-    return 100.0 * hits / total
 
 
 def _pii_rows(bundle_dir: str, dataset: Dataset, platform: str, notes: list[str]) -> list:
@@ -383,7 +395,7 @@ def cmd_evaluate(args) -> int:
         compute = {  # this bundle's rows of each table, computed just below
             "block_rates": lambda: _block_rate_rows(dataset, ctx, lists, cfg),
             "penetration": lambda: [
-                (platform, row) for row in metrics.penetration_table(dataset, rules, ctx)
+                (platform, row) for row in metrics.penetration_table(dataset, ctx)
             ],
             "popularity_curve": lambda: [
                 (platform, row)

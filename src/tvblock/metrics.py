@@ -109,7 +109,7 @@ def popularity_block_curve(
         members = buckets.get(key)
         if not members:
             continue
-        hits = sum(1 for d in members if any(is_blocked(d, bl, mode) for bl in lists))
+        hits = sum(1 for d in members if blocked_by(d, lists, mode))
         rows.append(CurveRow(key, len(members), 100.0 * hits / len(members)))
     return rows
 
@@ -121,9 +121,7 @@ class PenetrationRow(NamedTuple):
     party: PartyLabel
 
 
-def penetration_table(
-    dataset: Dataset, rules: psl.SuffixRules, ctx: ClassificationContext
-) -> list[PenetrationRow]:
+def penetration_table(dataset: Dataset, ctx: ClassificationContext) -> list[PenetrationRow]:
     """App penetration and aggregate party for every eSLD in the dataset.
 
     ctx must come from build_context over the same dataset: its apps per
@@ -305,9 +303,9 @@ def keyword_fn_candidates(
         matched = next((t for t in tokens if t in keyword_set), None)
         if matched is None:
             continue
-        verdict = blocked_by(fqdn, lists, mode)
-        if len(verdict.blocked_by) < len(lists):
-            rows.append(FnCandidate(fqdn, matched, verdict.blocked_by))
+        names = blocked_by(fqdn, lists, mode)
+        if len(names) < len(lists):
+            rows.append(FnCandidate(fqdn, matched, names))
     return rows
 
 
@@ -382,4 +380,4 @@ def ats_label(
     """True when external labels mark the name ads/tracking or any list blocks it."""
     if labels.get(fqdn, frozenset()) & ATS_LABEL_VALUES:
         return True
-    return bool(lists) and blocked_by(fqdn, lists, mode).blocked
+    return bool(blocked_by(fqdn, lists, mode))

@@ -91,7 +91,6 @@ class ClassificationContext:
     by build_context.
     """
 
-    platform: Platform
     platform_markers: frozenset[str]
     esld_to_apps: Mapping[str, frozenset[AppRef]]
     platform_processes: frozenset[str] = frozenset()
@@ -194,7 +193,6 @@ def build_context(
         if name_to_esld[name] is not None:
             esld_to_apps.setdefault(name_to_esld[name], set()).add((app_id, developer))
     return ClassificationContext(
-        platform=platform,
         platform_markers=markers,
         esld_to_apps={domain: frozenset(refs) for domain, refs in esld_to_apps.items()},
         platform_processes=frozenset(platform_processes),

@@ -338,25 +338,18 @@ def attribute_exposures(
     developers = developers or {}
     completed = []
     for rec in records:
-        verdict = blocked_by(rec.fqdn, lists, mode)
+        names = blocked_by(rec.fqdn, lists, mode)
         known = rec.fqdn in ctx.name_to_esld
         domain = ctx.name_to_esld[rec.fqdn] if known else esld_of(rec.fqdn, rules)
         if domain is None:
             completed.append(
                 dataclasses.replace(
-                    rec,
-                    esld=rec.fqdn,
-                    party=PartyLabel.UNDETERMINED,
-                    blocked_by=verdict.blocked_by,
+                    rec, esld=rec.fqdn, party=PartyLabel.UNDETERMINED, blocked_by=names
                 )
             )
             continue
         party = classify(rec.app_id, developers.get(rec.app_id), domain, ctx)
-        completed.append(
-            dataclasses.replace(
-                rec, esld=domain, party=party, blocked_by=verdict.blocked_by
-            )
-        )
+        completed.append(dataclasses.replace(rec, esld=domain, party=party, blocked_by=names))
     return completed
 
 

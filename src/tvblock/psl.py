@@ -60,7 +60,6 @@ class SuffixRules:
     normal: frozenset[Labels]
     wildcard: frozenset[Labels]
     exception: frozenset[Labels]
-    include_private: bool = True
     by_tld: dict[str, tuple[tuple[Labels, bool], ...]] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -142,7 +141,6 @@ def load_psl(text: str, include_private: bool = True) -> SuffixRules:
         normal=frozenset(normal),
         wildcard=frozenset(wildcard),
         exception=frozenset(exception),
-        include_private=include_private,
         by_tld=frozen_index,
     )
 

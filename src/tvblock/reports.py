@@ -80,12 +80,11 @@ def write_block_rates(
     generated_at: str | None = None,
     flow_weighted: bool = False,
 ) -> Table:
-    """rows: raw rows in column order, or mappings by column name. The
-    flow_rate_* columns are present only when flow weighting is enabled."""
+    """rows: raw rows in column order. The flow_rate_* columns are present
+    only when flow weighting is enabled."""
     columns = ("platform", "list", "fqdn_count", "esld_count", "rate_exact", "rate_suffix")
     if flow_weighted:
         columns += ("flow_rate_exact", "flow_rate_suffix")
-    rows = [tuple(row[c] for c in columns) if isinstance(row, dict) else row for row in rows]
     return Table(columns, rows).write_csv(path, generated_at)
 
 

@@ -71,9 +71,9 @@ def respond(data: bytes, lists: Sequence[BlockList], cfg: SinkholeConfig) -> Out
         return Outcome(dnswire.build_error_response(data, dnswire.RCODE_FORMERR), "upstream_error")
     qname = question.qname.rstrip(".").lower()
     qtype = dnswire.type_name(question.qtype)
-    verdict = blocked_by(qname, lists, cfg.match_mode)
-    if verdict.blocked:
-        return Outcome(answer_blocked(query, cfg), "blocked", qname, qtype, verdict.blocked_by)
+    names = blocked_by(qname, lists, cfg.match_mode)
+    if names:
+        return Outcome(answer_blocked(query, cfg), "blocked", qname, qtype, names)
     return Outcome(None, "forwarded", qname, qtype, question=question.wire.lower())
 
 
@@ -472,13 +472,11 @@ class Sinkhole:
                 continue
             except OSError:
                 break
-            with conn:
-                try:
-                    conn.settimeout(1.0)
+            with conn, contextlib.suppress(OSError):
+                conn.settimeout(1.0)
+                with contextlib.suppress(socket.timeout):
                     conn.recv(256)  # optional request line; reply regardless
-                    conn.sendall((json.dumps(self.stats()) + "\n").encode())
-                except OSError:
-                    pass
+                conn.sendall((json.dumps(self.stats()) + "\n").encode())
 
     def dump_stats(self) -> None:
         """On-signal stats dump for deployments without the TCP endpoint."""

@@ -334,7 +334,7 @@ class TestPenetrationTable:
             records.append(flow(f"app{rng.randrange(8)}", rng.choice(pool), f"dev{rng.randrange(4)}"))
         ds = Dataset(label="t", records=records)
         ctx = build_context(ds, rules)
-        rows = penetration_table(ds, rules, ctx)
+        rows = penetration_table(ds, ctx)
         apps = {r.app_id for r in records}
         for row in rows:
             expected_apps = {
@@ -348,5 +348,5 @@ class TestPenetrationTable:
         records = [flow("a", "one.example.com"), flow("b", "one.example.com"), flow("a", "two.example.net")]
         ds = Dataset(label="t", records=records)
         ctx = build_context(ds, rules)
-        rows = penetration_table(ds, rules, ctx)
+        rows = penetration_table(ds, ctx)
         assert [r.esld for r in rows] == ["example.com", "example.net"]

@@ -36,7 +36,6 @@ class TestTokenize:
 
 def make_ctx(contacts: dict, markers=("roku",), processes=()):
     return ClassificationContext(
-        platform=Platform("Roku"),
         platform_markers=frozenset(markers),
         esld_to_apps={k: frozenset(v) for k, v in contacts.items()},
         platform_processes=frozenset(processes),

@@ -352,7 +352,6 @@ class TestRedact:
 class TestAttributeExposures:
     def _ctx(self):
         return ClassificationContext(
-            platform=Platform("Roku"),
             platform_markers=frozenset({"roku"}),
             esld_to_apps={
                 "listed.com": frozenset({("App", "Dev Co"), ("Other", "Else Inc")}),

@@ -33,16 +33,7 @@ class TestFormatting:
         path = tmp_path / "rates.csv"
         write_block_rates(
             str(path),
-            [
-                {
-                    "platform": "Roku",
-                    "list": "PD",
-                    "fqdn_count": 10,
-                    "esld_count": 8,
-                    "rate_exact": 50.0,
-                    "rate_suffix": 60.0,
-                }
-            ],
+            [("Roku", "PD", 10, 8, 50.0, 60.0)],
         )
         first, rows = read_csv(str(path))
         assert first.startswith("# generated_at=")

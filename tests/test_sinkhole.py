@@ -330,6 +330,14 @@ class TestServe:
         assert stats["blocked"] == 1
         assert stats["forwarded"] == 1
 
+    def test_stats_endpoint_replies_without_a_request_line(self, running_sinkhole):
+        service, upstream, cfg = running_sinkhole
+        dns_ask(service.address, "ads.example.com")
+        wait_for_log(cfg.query_log_path, 1)
+        with socket.create_connection(("127.0.0.1", service.stats_port), timeout=3) as conn:
+            payload = conn.makefile().readline()  # sends nothing; the reply follows the wait
+        assert json.loads(payload)["blocked"] == 1
+
     def test_bind_failure_raises(self, running_sinkhole):
         service, upstream, cfg = running_sinkhole
         host, port = service.address
