@@ -9,7 +9,7 @@ import pytest
 
 import tvblock
 
-from make_golden import scan_pii_outputs
+from make_golden import ingest_and_scan
 
 
 @pytest.mark.parametrize("module", ["tvblock.config", "tvblock.cli"])
@@ -72,7 +72,7 @@ def test_ingest_loads_no_scanner_or_metrics(tmp_path):
 
 def test_evaluate_loads_no_hashlib(tmp_path):
     """evaluate reads exposures but never hashes, so it loads no OpenSSL."""
-    scan_pii_outputs(str(tmp_path))
+    ingest_and_scan(str(tmp_path))
     argv = [
         "evaluate",
         "--config", os.path.join(DATA, "corpus_config.json"),

@@ -1,5 +1,5 @@
-"""Fresh runs on the corpus, and respond() on a fixed query set, against the
-committed goldens.
+"""Fresh runs on the corpus, their error paths, the help texts, and respond()
+on a fixed query set, against the committed goldens.
 
 On a difference the test prints a unified diff. A change that alters an
 output on purpose regenerates the goldens with tests/make_golden.py.
@@ -10,7 +10,15 @@ import os
 
 import pytest
 
-from make_golden import GOLDEN, PIPELINE_FILES, SCAN_PII_FILES, golden_texts
+from make_golden import (
+    ERROR_FILES,
+    GOLDEN,
+    HELP_FILES,
+    INGEST_FILES,
+    PIPELINE_FILES,
+    SCAN_PII_FILES,
+    golden_texts,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +40,11 @@ def check(fresh, rel):
         pytest.fail("output differs from its golden:\n" + "".join(diff), pytrace=False)
 
 
+@pytest.mark.parametrize("rel", INGEST_FILES)
+def test_ingest_matches_golden(fresh, rel):
+    check(fresh, f"ingest/{rel}")
+
+
 @pytest.mark.parametrize("rel", SCAN_PII_FILES)
 def test_scan_pii_matches_golden(fresh, rel):
     check(fresh, f"scan_pii/{rel}")
@@ -40,6 +53,16 @@ def test_scan_pii_matches_golden(fresh, rel):
 @pytest.mark.parametrize("rel", PIPELINE_FILES)
 def test_evaluate_classify_match_golden(fresh, rel):
     check(fresh, rel)
+
+
+@pytest.mark.parametrize("rel", ERROR_FILES)
+def test_error_path_matches_golden(fresh, rel):
+    check(fresh, f"errors/{rel}")
+
+
+@pytest.mark.parametrize("rel", HELP_FILES)
+def test_help_matches_golden(fresh, rel):
+    check(fresh, f"help/{rel}")
 
 
 def test_respond_matches_golden(fresh):
