@@ -7,11 +7,15 @@ pair. The generated corpora never tell these apart, so a hand-built pair of
 bundles does here, and a property runs small random bundles with IP
 literals, unattributed flows and late developers, against 2-4 random lists,
 through the CLI, in either match mode and with or without flow weighting.
+Each random transaction may carry the advertising ID, plain, upper-cased,
+percent-encoded or hashed, in its URI query or in a header, so pii_table.csv
+and the redacted log are checked too.
 Suffix-mode tables and the flow-weighted cells have no reference code of
 their own; they are brute-forced here from the reference's match rules.
 """
 
 import csv
+import hashlib
 import json
 import os
 import tempfile
@@ -42,14 +46,14 @@ def flow(platform, fqdn, app=None, dev=None, ts=0):
     )
 
 
-def http(platform, fqdn, app, dev=None, uri="/", ts=0):
+def http(platform, fqdn, app, dev=None, uri="/", ts=0, headers=()):
     return HttpTransaction(
         app_id=app,
         platform=Platform(platform),
         fqdn=fqdn,
         method="GET",
         uri=uri,
-        headers=(),
+        headers=tuple(headers),
         was_encrypted=False,
         timestamp=ts,
         developer=dev,
@@ -194,6 +198,11 @@ def run_pipeline(
         if pii:
             want["pii_table"] += ref.pii_rows(bundle, variants, matched, markers, STOPS)
     want["overlap"] = ref.overlap_rows(bundles[0], bundles[1], STOPS)
+    if pii:  # the reference finds no variant in a redacted log
+        for bundle_dir in bundle_dirs:
+            redacted = ref.read_jsonl(os.path.join(bundle_dir, "http.redacted.jsonl"))
+            logged = ref.read_jsonl(os.path.join(bundle_dir, "http.jsonl"))
+            assert [ref.scan_tx(tx, variants) for tx in redacted] == [set()] * len(logged)
     return got, {table: as_text(rows) for table, rows in want.items()}
 
 
@@ -282,13 +291,37 @@ LISTS = st.lists(LIST_FILE, min_size=3, max_size=5).map(
 )
 
 
-def random_dataset(label, flows, txs):
+# How a transaction carries the ADID, if at all, and whether in a header
+# (else in the URI query).
+PLANTED = {
+    None: None,
+    "plain": ADID,
+    "upper": ADID.upper(),
+    "percent": "".join(f"%{ord(c):02X}" for c in ADID),
+    "md5": hashlib.md5(ADID.encode()).hexdigest(),
+    "sha1": hashlib.sha1(ADID.encode()).hexdigest(),
+}
+plant = st.tuples(st.sampled_from(list(PLANTED)), st.booleans())
+
+
+def planted_http(label, name, app, dev, ts, planted=(None, False)):
+    value, in_header = PLANTED[planted[0]], planted[1]
+    if value is None:
+        return http(label, name, app, dev, "/", ts)
+    if in_header:
+        return http(label, name, app, dev, "/", ts, [("Host", name), ("X-Ad-Id", value)])
+    return http(label, name, app, dev, f"/?adid={value}&v=1", ts)
+
+
+def random_dataset(label, flows, txs, plants=()):
     # Every bundle gets one attributed contact with a domain name, so the
     # reference's penetration denominators are never zero.
     records = [flow(label, "seed.acme-media.com", "Newsy", None)]
     records += [flow(label, name, app, dev, ts) for ts, (name, app, dev) in enumerate(flows)]
+    plants = list(plants) + [(None, False)] * len(txs)  # past those drawn, none planted
     transactions = [
-        http(label, name, app or "Newsy", dev, "/", ts) for ts, (name, app, dev) in enumerate(txs)
+        planted_http(label, name, app or "Newsy", dev, ts, planted)
+        for ts, ((name, app, dev), planted) in enumerate(zip(txs, plants))
     ]
     return Dataset(label=label, platform=Platform(label), records=records, transactions=transactions)
 
@@ -302,6 +335,7 @@ class TestAgainstReference:
     @given(
         roku_flows=st.lists(contact, max_size=12),
         roku_txs=st.lists(contact, max_size=4),
+        roku_plants=st.lists(plant, min_size=4, max_size=4),
         firetv_flows=st.lists(contact, max_size=12),
         lists=LISTS,
         max_bucket=st.integers(min_value=1, max_value=4),
@@ -313,6 +347,7 @@ class TestAgainstReference:
         capsys,
         roku_flows,
         roku_txs,
+        roku_plants,
         firetv_flows,
         lists,
         max_bucket,
@@ -320,12 +355,12 @@ class TestAgainstReference:
         flow_weighted,
     ):
         datasets = (
-            random_dataset("Roku", roku_flows, roku_txs),
+            random_dataset("Roku", roku_flows, roku_txs, roku_plants),
             random_dataset("FireTV", firetv_flows, []),
         )
         with tempfile.TemporaryDirectory() as work:
             got, want = run_pipeline(
-                work, datasets, lists, max_bucket, match_mode=match_mode,
+                work, datasets, lists, max_bucket, pii=True, match_mode=match_mode,
                 flow_weighted=flow_weighted,
             )
         capsys.readouterr()
