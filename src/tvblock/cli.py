@@ -28,7 +28,7 @@ from .text import KNOWN_PLATFORMS, decode_json
 
 if TYPE_CHECKING:
     from . import pii, psl
-    from .traffic import Dataset, DatasetSummary
+    from .traffic import Dataset, DatasetSummary, FlowRecord, HttpTransaction, Platform
 
 log = logging.getLogger("tvblock")
 
@@ -46,25 +46,33 @@ class CliError(Exception):
 # -- bundle I/O ----------------------------------------------------------
 
 
-def write_bundle(out_dir: str, dataset: Dataset) -> DatasetSummary:
-    """Write the bundle files and return the summary written to summary.json."""
-    from .traffic import dataset_summary
+def write_bundle(
+    out_dir: str,
+    label: str,
+    records: Sequence[FlowRecord],
+    transactions: Sequence[HttpTransaction],
+    platform: Optional[Platform] = None,
+) -> DatasetSummary:
+    """Write a capture as a bundle and return the summary in its summary.json.
+
+    The records and transactions go to flows.jsonl and http.jsonl, one
+    compact JSON object a line, and are then folded into the contact index
+    that summary.json counts. meta.json holds the label and the platform,
+    which defaults to the index's.
+    """
+    from .traffic import Dataset, dataset_summary, index_contacts
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "flows.jsonl"), "w", encoding="utf-8") as fh:
-        for rec in dataset.records:
-            fh.write(json.dumps(rec.to_json(), separators=(",", ":")) + "\n")
-    with open(os.path.join(out_dir, "http.jsonl"), "w", encoding="utf-8") as fh:
-        for tx in dataset.transactions:
-            fh.write(json.dumps(tx.to_json(), separators=(",", ":")) + "\n")
+    for name, items in (("flows.jsonl", records), ("http.jsonl", transactions)):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            for item in items:
+                fh.write(json.dumps(item.to_json(), separators=(",", ":")) + "\n")
+    dataset = Dataset(label, index_contacts(records, transactions), platform)
     summary = dataset_summary(dataset)
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary.to_json(), fh, indent=2)
         fh.write("\n")
-    meta = {
-        "label": dataset.label,
-        "platform": dataset.platform.name if dataset.platform else None,
-    }
+    meta = {"label": label, "platform": dataset.platform.name if dataset.platform else None}
     with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
@@ -92,10 +100,11 @@ def _read_bundle_log(path: str, build, what: str):
         print(f"warning: {path}: skipped {len(errors)} unparsable lines", file=sys.stderr)
 
 
-def load_bundle(bundle_dir: str, keep_transactions: bool = False) -> Dataset:
+def load_bundle(bundle_dir: str) -> Dataset:
     """Load a bundle by streaming its logs into the dataset's contact index.
 
-    No flow record is kept; transactions are kept only when asked for.
+    Neither log is kept. This read is the one that warns about a log's
+    skipped lines and refuses a log with none parsable (CliError).
     """
     from .traffic import Dataset, FlowRecord, HttpTransaction, Platform, index_contacts
 
@@ -121,18 +130,10 @@ def load_bundle(bundle_dir: str, keep_transactions: bool = False) -> Dataset:
             raise CliError(f"corrupt bundle file {meta_path}: {exc}") from exc
     records = _read_bundle_log(flows_path, FlowRecord.from_json, "flow records")
     http_path = os.path.join(bundle_dir, "http.jsonl")
-    streamed = ()
+    transactions = ()
     if os.path.exists(http_path):
-        streamed = _read_bundle_log(http_path, HttpTransaction.from_json, "transactions")
-    kept: list[HttpTransaction] = []
-    if keep_transactions:  # keep each transaction as the fold reads it
-        streamed = (kept.append(tx) or tx for tx in streamed)
-    return Dataset(
-        label=label,
-        transactions=kept,
-        platform=platform,
-        index=index_contacts(records, streamed),
-    )
+        transactions = _read_bundle_log(http_path, HttpTransaction.from_json, "transactions")
+    return Dataset(label, index_contacts(records, transactions), platform)
 
 
 def load_bundle_exposures(bundle_dir: str) -> Optional[list[pii.ExposureRecord]]:
@@ -249,7 +250,7 @@ def _build_ctx(dataset: Dataset, rules, cfg: GlobalConfig, processes: frozenset[
 
 
 def cmd_ingest(args) -> int:
-    from .traffic import Dataset, LogParseError, Platform, parse_flow_log, parse_http_log
+    from .traffic import LogParseError, Platform, parse_flow_log, parse_http_log
 
     cfg = _load_global_config(args)
     for path in [args.flows, args.http]:
@@ -281,10 +282,7 @@ def cmd_ingest(args) -> int:
 
     platform = Platform.parse(args.platform) if args.platform else None
     label = args.label or os.path.basename(os.path.normpath(cfg.output_dir))
-    dataset = Dataset(
-        label=label, records=flows.records, transactions=transactions, platform=platform
-    )
-    summary = write_bundle(cfg.output_dir, dataset)
+    summary = write_bundle(cfg.output_dir, label, flows.records, transactions, platform)
     print(json.dumps({"label": label, **summary.to_json()}, indent=2))
     return EXIT_PARTIAL if flows.errors or http_errors else EXIT_OK
 
@@ -486,6 +484,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_scan_pii(args) -> int:
     from . import pii
+    from .traffic import HttpTransaction, iter_jsonl
 
     cfg = _load_global_config(args)
     spec_path = args.pii_spec or cfg.pii_spec_path
@@ -494,7 +493,7 @@ def cmd_scan_pii(args) -> int:
     lists = _build_lists(cfg)
     rules = _load_rules(cfg)
     processes = _load_processes(cfg)
-    dataset = load_bundle(args.bundle, keep_transactions=True)
+    dataset = load_bundle(args.bundle)
 
     pii.warn_if_world_readable(spec_path)
     try:
@@ -513,28 +512,29 @@ def cmd_scan_pii(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     exposures_path = os.path.join(out_dir, "exposures.jsonl")
     redacted_path = os.path.join(out_dir, "http.redacted.jsonl")
-    total = 0
-    with open(exposures_path, "w", encoding="utf-8") as exp_fh, open(
-        redacted_path, "w", encoding="utf-8"
-    ) as red_fh:
-        for tx in dataset.transactions:
+    # load_bundle's read of http.jsonl warned about or refused its bad lines;
+    # this second one skips them silently and scans one transaction at a time.
+    http_path = os.path.join(args.bundle, "http.jsonl")
+    count = total = 0
+    with (
+        open(http_path if os.path.exists(http_path) else os.devnull, encoding="utf-8") as lines,
+        open(exposures_path, "w", encoding="utf-8") as exp_fh,
+        open(redacted_path, "w", encoding="utf-8") as red_fh,
+    ):
+        for tx in iter_jsonl(lines, HttpTransaction.from_json, "transactions", []):
             found = pii.scan_transaction(tx, variants)
             attributed = pii.attribute_exposures(
                 found, ctx, lists, rules, cfg.match_mode, developers
             )
             for record in attributed:
-                exp_fh.write(
-                    json.dumps(record.to_json(), separators=(",", ":")) + "\n"
-                )
-            total += len(attributed)
-            red_fh.write(
-                json.dumps(pii.redact(tx, found).to_json(), separators=(",", ":"))
-                + "\n"
-            )
+                exp_fh.write(json.dumps(record.to_json(), separators=(",", ":")) + "\n")
+            redacted = pii.redact(tx, found).to_json()
+            red_fh.write(json.dumps(redacted, separators=(",", ":")) + "\n")
+            count, total = count + 1, total + len(attributed)
     print(
         json.dumps(
             {
-                "transactions": len(dataset.transactions),
+                "transactions": count,
                 "exposures": total,
                 "exposures_path": exposures_path,
                 "redacted_path": redacted_path,

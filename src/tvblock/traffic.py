@@ -438,25 +438,19 @@ def index_contacts(
 
 @dataclass
 class Dataset:
-    """A bundle of flows and transactions and its contact index.
+    """A capture's contact index under its label: all the reports read of it.
 
-    A dataset built from lists is indexed on construction and must not be
-    mutated after that. ``cli.load_bundle`` instead streams a bundle's logs
-    into ``index`` and keeps no records (and transactions only on request),
-    so code that takes a loaded bundle reads ``index``, not the lists.
+    ``cli.load_bundle`` streams a bundle's logs into ``index``; records and
+    transactions held in lists are folded with ``index_contacts``.
     ``platform`` is the declared platform of the capture; when omitted it
     is the index's (the first record's, else the first transaction's).
     """
 
     label: str
-    records: list[FlowRecord] = field(default_factory=list)
-    transactions: list[HttpTransaction] = field(default_factory=list)
+    index: ContactIndex
     platform: Optional[Platform] = None
-    index: Optional[ContactIndex] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.index is None:
-            self.index = index_contacts(self.records, self.transactions)
         if self.platform is None:
             self.platform = self.index.platform
 

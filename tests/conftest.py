@@ -1,11 +1,13 @@
 import json
 import os
+from typing import NamedTuple, Optional, Sequence
 
 import pytest
 from hypothesis import settings
 
 from tvblock import psl
 from tvblock.blocklists import build_list
+from tvblock.traffic import Dataset, FlowRecord, HttpTransaction, Platform, index_contacts
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 CORPUS_DIR = os.path.join(DATA_DIR, "corpus")
@@ -18,6 +20,21 @@ CORPUS_CONFIG = os.path.join(DATA_DIR, "corpus_config.json")
 settings.register_profile("ci", print_blob=True, deadline=None)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+class Capture(NamedTuple):
+    """A capture's records and transactions held in lists, in the order of
+    write_bundle's arguments: ``write_bundle(out_dir, *capture)``."""
+
+    label: str
+    records: Sequence[FlowRecord] = ()
+    transactions: Sequence[HttpTransaction] = ()
+    platform: Optional[Platform] = None
+
+
+def dataset(label, records=(), transactions=(), platform=None) -> Dataset:
+    """The Dataset of records and transactions held in lists; ``dataset(*capture)``."""
+    return Dataset(label, index_contacts(records, transactions), platform)
 
 
 @pytest.fixture(scope="session")

@@ -28,9 +28,9 @@ from tvblock.pii import (
     scan_transaction,
 )
 from tvblock.sinkhole import SinkholeConfig, serve
-from tvblock.traffic import Dataset, FlowRecord, HttpTransaction, Platform
+from tvblock.traffic import FlowRecord, HttpTransaction, Platform
 
-from conftest import CORPUS_CONFIG, CORPUS_DIR, PSL_PATH, PSL_VECTORS_PATH
+from conftest import CORPUS_CONFIG, CORPUS_DIR, PSL_PATH, PSL_VECTORS_PATH, dataset
 from test_pii import md5_oracle, sha1_oracle
 from test_sinkhole import MockUpstream
 
@@ -232,7 +232,7 @@ def test_criterion_party_classifier_fixture(rules):
     for _ in range(3):
         permuted = flows[:]
         rng.shuffle(permuted)
-        ds = Dataset(label="fixture", records=permuted, platform=Platform("Roku"))
+        ds = dataset(label="fixture", records=permuted, platform=Platform("Roku"))
         ctx = build_context(ds, rules, platform_processes={"com.platform.svc"})
         labels = [
             classify(app, dev, esld_value, ctx)

@@ -24,10 +24,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_pipeline as ref
-from conftest import PSL_PATH
+from conftest import PSL_PATH, Capture, dataset
 from tvblock.cli import main, write_bundle
 from tvblock.party import DEFAULT_STOP_TOKENS
-from tvblock.traffic import Dataset, FlowRecord, HttpTransaction, Platform
+from tvblock.traffic import FlowRecord, HttpTransaction, Platform
 
 ADID = "fa3c7e19-0a2b-4c5d-8e9f-1234567890ab"
 MARKERS = {"Roku": ["roku"], "FireTV": ["amazon"]}
@@ -154,7 +154,7 @@ def run_pipeline(
     bundle_dirs = []
     for ds in datasets:
         bundle_dir = os.path.join(work, ds.label)
-        write_bundle(bundle_dir, ds)
+        write_bundle(bundle_dir, *ds)
         bundle_dirs.append(bundle_dir)
         if pii:
             assert main(["scan-pii", "--bundle", bundle_dir, "--config", config]) == 0
@@ -209,7 +209,7 @@ def run_pipeline(
 def late_developer_bundles():
     # "Newsy" contacts its first name with no developer and "Acme Media"
     # only later, so the three rules give three different answers.
-    roku = Dataset(
+    roku = Capture(
         label="Roku",
         platform=Platform("Roku"),
         records=[
@@ -226,7 +226,7 @@ def late_developer_bundles():
             http("Roku", "ads.tracker.net", "Zeta Play", "Zeta Inc", f"/b?adid={ADID}", 8),
         ],
     )
-    firetv = Dataset(
+    firetv = Capture(
         label="FireTV",
         platform=Platform("FireTV"),
         records=[
@@ -240,7 +240,7 @@ def late_developer_bundles():
 
 class TestFirstDeveloperRules:
     def test_index_keeps_both_per_app_rules_apart(self):
-        index = late_developer_bundles()[0].index
+        index = dataset(*late_developer_bundles()[0]).index
         assert index.first_developers()["Newsy"] is None
         assert index.first_developers(known_only=True)["Newsy"] == "Acme Media"
         assert "10.0.0.7" in index.names and "10.0.0.7" not in index.domain_names()
@@ -323,7 +323,7 @@ def random_dataset(label, flows, txs, plants=()):
         planted_http(label, name, app or "Newsy", dev, ts, planted)
         for ts, ((name, app, dev), planted) in enumerate(zip(txs, plants))
     ]
-    return Dataset(label=label, platform=Platform(label), records=records, transactions=transactions)
+    return Capture(label=label, platform=Platform(label), records=records, transactions=transactions)
 
 
 class TestAgainstReference:

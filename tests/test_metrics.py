@@ -23,7 +23,9 @@ from tvblock.metrics import (
 )
 from tvblock.party import PartyLabel, build_context
 from tvblock.pii import Encoding, ExposureRecord, PiiKind
-from tvblock.traffic import Dataset, FlowRecord, Platform
+from tvblock.traffic import FlowRecord, Platform
+
+from conftest import dataset
 
 
 def flow(app, fqdn, dev=None, ts=0, platform="Roku"):
@@ -60,7 +62,7 @@ class TestAppPenetration:
     def _dataset(self):
         records = [flow(f"app{i}", "cdn.example.com") for i in range(10)]
         records += [flow(f"app{i}", "svc.tracker.net") for i in range(3)]
-        return Dataset(label="t", records=records)
+        return dataset(label="t", records=records)
 
     def test_three_of_ten_apps(self, rules):
         assert app_penetration("tracker.net", self._dataset(), rules) == 30.0
@@ -69,7 +71,7 @@ class TestAppPenetration:
         assert app_penetration("example.com", self._dataset(), rules) == 100.0
 
     def test_no_attribution_raises(self, rules):
-        ds = Dataset(
+        ds = dataset(
             label="wild",
             records=[
                 FlowRecord(
@@ -93,7 +95,7 @@ class TestPopularityCurve:
             flow("app2", "f3.example.com"),
             flow("app3", "f3.example.com"),
         ]
-        ds = Dataset(label="t", records=records)
+        ds = dataset(label="t", records=records)
         lists = [BlockList("L", frozenset({"f1.example.com", "f3.example.com"}))]
         rows = popularity_block_curve(ds, lists, max_bucket=2)
         assert [(r.bucket, r.domain_count, r.rate) for r in rows] == [
@@ -102,7 +104,7 @@ class TestPopularityCurve:
         ]
 
     def test_empty_buckets_omitted(self):
-        ds = Dataset(label="t", records=[flow("a", "one.example.com")])
+        ds = dataset(label="t", records=[flow("a", "one.example.com")])
         rows = popularity_block_curve(ds, [BlockList("L", frozenset())], max_bucket=4)
         assert [r.bucket for r in rows] == ["1"]
 
@@ -113,7 +115,7 @@ class TestPopularityCurve:
             fqdn = f"f{i}.example.net"
             for app in rng.sample([f"app{k}" for k in range(10)], rng.randrange(1, 10)):
                 records.append(flow(app, fqdn))
-        ds = Dataset(label="t", records=records)
+        ds = dataset(label="t", records=records)
         blocked_entries = frozenset(
             f"f{i}.example.net" for i in range(60) if rng.random() < 0.4
         )
@@ -129,7 +131,7 @@ class TestPopularityCurve:
 
 class TestOverlap:
     def _datasets(self):
-        a = Dataset(
+        a = dataset(
             label="A",
             records=[
                 flow("TechSmart.tv", "x.techsmart.tv", "Future Today"),
@@ -138,7 +140,7 @@ class TestOverlap:
             ],
             platform=Platform("Roku"),
         )
-        b = Dataset(
+        b = dataset(
             label="B",
             records=[
                 flow("com.techsmart.firetv", "y.techsmart.tv", "Future Today", platform="FireTV"),
@@ -169,8 +171,8 @@ class TestOverlap:
         assert not (app.only_b & app.both)
 
     def test_name_match_without_shared_developer_is_rejected(self):
-        a = Dataset(label="A", records=[flow("Newsy", "a.com", "Alpha Media")])
-        b = Dataset(
+        a = dataset(label="A", records=[flow("Newsy", "a.com", "Alpha Media")])
+        b = dataset(
             label="B", records=[flow("Newsy", "b.com", "Beta Group", platform="FireTV")]
         )
         assert common_app_overlap(a, b).common_app_count == 0
@@ -332,7 +334,7 @@ class TestPenetrationTable:
         pool = ["svc.example.com", "cdn.example.net", "api.roku.com", "t.tracker.org"]
         for i in range(120):
             records.append(flow(f"app{rng.randrange(8)}", rng.choice(pool), f"dev{rng.randrange(4)}"))
-        ds = Dataset(label="t", records=records)
+        ds = dataset(label="t", records=records)
         ctx = build_context(ds, rules)
         rows = penetration_table(ds, ctx)
         apps = {r.app_id for r in records}
@@ -346,7 +348,7 @@ class TestPenetrationTable:
 
     def test_rows_sorted_by_reach(self, rules):
         records = [flow("a", "one.example.com"), flow("b", "one.example.com"), flow("a", "two.example.net")]
-        ds = Dataset(label="t", records=records)
+        ds = dataset(label="t", records=records)
         ctx = build_context(ds, rules)
         rows = penetration_table(ds, ctx)
         assert [r.esld for r in rows] == ["example.com", "example.net"]

@@ -12,7 +12,9 @@ from tvblock.party import (
     load_platform_processes,
     tokenize,
 )
-from tvblock.traffic import Dataset, FlowRecord, Platform
+from tvblock.traffic import FlowRecord, Platform
+
+from conftest import dataset
 
 
 class TestTokenize:
@@ -164,7 +166,7 @@ class TestBuildContext:
             )
             for i, (app, dev, fqdn) in enumerate(order(rows))
         ]
-        return Dataset(label="t", records=records)
+        return dataset(label="t", records=records)
 
     def test_order_invariance(self, rules):
         ctx_a = build_context(self._dataset(lambda r: r), rules)

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tvblock.traffic import (
-    Dataset,
     FlowRecord,
     HttpTransaction,
     LogParseError,
@@ -18,6 +17,8 @@ from tvblock.traffic import (
     parse_flow_log,
     parse_http_log,
 )
+
+from conftest import dataset
 
 FLOW_LINE = (
     '{"device_id":"d1","platform":"Roku","app_id":"12","fqdn":"Ads.Example.COM.",'
@@ -172,7 +173,7 @@ def _fixture_dataset():
                     app_id=app,
                 )
             )
-    return Dataset(label="fixture", records=records)
+    return dataset(label="fixture", records=records)
 
 
 class TestDatasetSummary:
@@ -184,7 +185,7 @@ class TestDatasetSummary:
         assert summary.distinct_uri_path_count == 0
 
     def test_empty_dataset_is_all_zeros(self):
-        summary = dataset_summary(Dataset(label="empty", platform=Platform("Roku")))
+        summary = dataset_summary(dataset(label="empty", platform=Platform("Roku")))
         assert (
             summary.app_count
             == summary.distinct_fqdn_count
@@ -206,7 +207,7 @@ class TestDatasetSummary:
                     app_id=f"app{rng.randrange(12)}" if rng.random() < 0.9 else None,
                 )
             )
-        ds = Dataset(label="rand", records=records)
+        ds = dataset(label="rand", records=records)
         summary = dataset_summary(ds)
         apps = {r.app_id for r in records if r.app_id}
         fqdns = {r.fqdn for r in records}
@@ -240,7 +241,7 @@ class TestDatasetSummary:
             was_encrypted=False,
             timestamp=1,
         )
-        ds = Dataset(label="x", transactions=[tx, tx2])
+        ds = dataset(label="x", transactions=[tx, tx2])
         assert dataset_summary(ds).distinct_uri_path_count == 1
 
 
