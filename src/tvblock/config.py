@@ -51,8 +51,10 @@ class SinkholeConfig:
     stats_address: Optional[str] = None
 
     def validate(self) -> None:
-        if self.blocked_ttl < 0:
-            raise ValueError("blocked_ttl must be >= 0")
+        if not 0 <= self.blocked_ttl <= 2**31 - 1:  # RFC 2181 section 8
+            raise ValueError("blocked_ttl must be >= 0 and <= 2147483647")
+        if self.upstream_timeout_ms < 1:
+            raise ValueError("upstream_timeout_ms must be >= 1")
         if not self.active_lists:
             raise ValueError("at least one active list is required")
         if self.blocking_mode not in BLOCKING_MODES:

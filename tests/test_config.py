@@ -85,6 +85,20 @@ def test_evaluate_loads_no_hashlib(tmp_path):
     assert (tmp_path / "report" / "pii_table.csv").exists()
 
 
+@pytest.mark.parametrize("section", [{"blocked_ttl": 2**32}, {"upstream_timeout_ms": 0}])
+def test_serve_refuses_a_ttl_or_timeout_it_cannot_use(tmp_path, capsys, monkeypatch, section):
+    """serve exits 2 before it binds, naming the setting."""
+    from tvblock import cli, sinkhole
+
+    monkeypatch.setattr(sinkhole, "serve", lambda *args: pytest.fail("serve was reached"))
+    path = tmp_path / "cfg.json"
+    lists = {"L": [os.path.join(DATA, "lists", "pd.txt")]}
+    path.write_text(json.dumps({"lists": lists, "sinkhole": section}))
+    argv = ["serve", "--config", str(path), "--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:9"]
+    assert cli.main(argv) == 2
+    assert f"error: {next(iter(section))} must be >= " in capsys.readouterr().err
+
+
 def test_sinkhole_config_still_importable_from_sinkhole():
     from tvblock import config, sinkhole
 

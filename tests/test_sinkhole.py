@@ -117,6 +117,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    @pytest.mark.parametrize("ttl", [2**31, 2**32])
+    def test_ttl_beyond_rfc_2181_rejected(self, ttl):
+        # 2**32 once validated, and respond() then raised struct.error on a
+        # blocked A query, which went unanswered and unlogged.
+        cfg = SinkholeConfig(active_lists=("L",), blocked_ttl=ttl)
+        with pytest.raises(ValueError, match="blocked_ttl"):
+            cfg.validate()
+
+    def test_largest_ttl_accepted(self):
+        SinkholeConfig(active_lists=("L",), blocked_ttl=2**31 - 1).validate()
+
+    @pytest.mark.parametrize("timeout_ms", [0, -1])
+    def test_timeout_below_one_ms_rejected(self, timeout_ms):
+        # Such a timeout once validated, and every forwarded query then got
+        # SERVFAIL the instant it was submitted.
+        cfg = SinkholeConfig(active_lists=("L",), upstream_timeout_ms=timeout_ms)
+        with pytest.raises(ValueError, match="upstream_timeout_ms"):
+            cfg.validate()
+
     def test_bad_blocking_mode_rejected(self):
         cfg = SinkholeConfig(active_lists=("L",), blocking_mode="refuse")
         with pytest.raises(ValueError):
