@@ -100,15 +100,12 @@ def popularity_block_curve(
     """
     if max_bucket < 1:
         raise ValueError("max_bucket must be >= 1")
-    buckets: dict[str, set[str]] = {}
+    buckets: dict[int, set[str]] = {}  # only the buckets with members
     for fqdn, count in fqdn_app_counts(dataset).items():
-        key = str(count) if count < max_bucket else f"{max_bucket}+"
-        buckets.setdefault(key, set()).add(fqdn)
+        buckets.setdefault(min(count, max_bucket), set()).add(fqdn)
     rows = []
-    for key in [str(k) for k in range(1, max_bucket)] + [f"{max_bucket}+"]:
-        members = buckets.get(key)
-        if not members:
-            continue
+    for k, members in sorted(buckets.items()):  # the terminal bucket is the largest key
+        key = str(k) if k < max_bucket else f"{max_bucket}+"
         hits = sum(1 for d in members if blocked_by(d, lists, mode))
         rows.append(CurveRow(key, len(members), 100.0 * hits / len(members)))
     return rows

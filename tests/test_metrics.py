@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -107,6 +108,20 @@ class TestPopularityCurve:
         ds = dataset(label="t", records=[flow("a", "one.example.com")])
         rows = popularity_block_curve(ds, [BlockList("L", frozenset())], max_bucket=4)
         assert [r.bucket for r in rows] == ["1"]
+
+    def test_memory_does_not_grow_with_max_bucket(self):
+        # A curve once walked every bucket up to max_bucket: 7 MB at 10**5
+        # for this one-row table.
+        ds = dataset(label="t", records=[flow(f"app{i}", f"n{i}.example.com") for i in range(10)])
+        lists = [BlockList("L", frozenset({"n1.example.com"}))]
+        tracemalloc.start()
+        try:
+            rows = popularity_block_curve(ds, lists, max_bucket=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(r.bucket, r.domain_count, r.rate) for r in rows] == [("1", 10, 10.0)]
+        assert peak < 1_000_000, peak
 
     def test_blocked_counts_partition_consistently(self):
         rng = random.Random(8)
