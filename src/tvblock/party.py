@@ -21,6 +21,9 @@ from . import psl
 from .traffic import Dataset, Platform, read_jsonl
 
 _TOKEN_RE = re.compile(r"[a-z]+|[0-9]+")
+# A token an app (or its developer) shares with an eSLD makes the eSLD first
+# party only at this length or more.
+MIN_SHARED_TOKEN_LEN = 3
 
 # Tokens too generic to signal ownership: scheme/TLD noise, storefront
 # qualifiers, and platform names. Configurable per run; this default is not
@@ -95,7 +98,6 @@ class ClassificationContext:
     esld_to_apps: Mapping[str, frozenset[AppRef]]
     platform_processes: frozenset[str] = frozenset()
     stop_tokens: frozenset[str] = DEFAULT_STOP_TOKENS
-    min_shared_token_len: int = 3
     name_to_esld: Mapping[str, Optional[str]] = field(default_factory=dict)
 
     @functools.cached_property
@@ -136,10 +138,7 @@ def classify(
     app_tokens = set(tokenize(app_id or "", ctx.stop_tokens))
     app_tokens.update(tokenize(developer or "", ctx.stop_tokens))
     esld_tokens = set(tokenize(esld, ctx.stop_tokens))
-    shared = {
-        t for t in app_tokens & esld_tokens if len(t) >= ctx.min_shared_token_len
-    }
-    if shared:
+    if any(len(t) >= MIN_SHARED_TOKEN_LEN for t in app_tokens & esld_tokens):
         return PartyLabel.FIRST_PARTY
 
     if esld in ctx.third_party:
