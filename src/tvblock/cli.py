@@ -530,7 +530,8 @@ def cmd_scan_pii(args) -> int:
                 exp_fh.write(json.dumps(record.to_json(), separators=(",", ":")) + "\n")
             redacted = pii.redact(tx, found).to_json()
             red_fh.write(json.dumps(redacted, separators=(",", ":")) + "\n")
-            count, total = count + 1, total + len(attributed)
+            count += 1
+            total += len(attributed)
     print(
         json.dumps(
             {

@@ -141,10 +141,10 @@ def _read(path: str) -> str:
 
 def _outputs_note(bundle: str, expected: dict[str, str], of: str) -> str:
     """A transcript's last section: whether each scan output equals ``expected``."""
-    lines = [
-        f"{name}: {'same as' if _read(os.path.join(bundle, name)) == expected[name] else 'differs from'} {of}\n"
-        for name in OUTPUTS
-    ]
+    lines = []
+    for name in OUTPUTS:
+        same = _read(os.path.join(bundle, name)) == expected[name]
+        lines.append(f"{name}: {'same as' if same else 'differs from'} {of}\n")
     return "-- outputs\n" + "".join(lines)
 
 
@@ -202,7 +202,9 @@ def ingest_and_scan(work_dir: str) -> dict[str, str]:
         for output in OUTPUTS:
             texts[f"scan_pii/{name}/{output}"] = _read(os.path.join(bundle[name], output))
     roku_outputs = {output: texts[f"scan_pii/roku/{output}"] for output in OUTPUTS}
-    texts["errors/scan_pii_bad_lines.txt"] += _outputs_note(bad_lines, roku_outputs, "scan_pii/roku")
+    texts["errors/scan_pii_bad_lines.txt"] += _outputs_note(
+        bad_lines, roku_outputs, "scan_pii/roku"
+    )
 
     unparsable = os.path.join(work_dir, "unparsable")
     shutil.copytree(bundle["roku"], unparsable)
