@@ -6,7 +6,8 @@ are known to hash identifiers before sending them). MAC addresses expand
 into colon, dash and bare-hex forms in both hex cases before hashing;
 coordinates are truncated to 3 decimals. Scanning is case-insensitive
 substring search over the request URI, percent-decoded once, and every
-header value. A request body is never scanned.
+header value. A request body is never scanned, but redaction scrubs it of
+every variant.
 """
 
 from __future__ import annotations
@@ -256,39 +257,39 @@ def build_all_variants(specs: Sequence[PiiSpec]) -> tuple[Variant, ...]:
     return tuple(out)
 
 
-def _surfaces(tx: HttpTransaction) -> list[tuple[str, str]]:
-    surfaces = [(URI_LOCATION, urllib.parse.unquote(tx.uri))]
-    surfaces.extend((header_location(name), value) for name, value in tx.headers)
-    return surfaces
-
-
 def scan_transaction(tx: HttpTransaction, variants: Sequence[Variant]) -> list[ExposureRecord]:
     """Find PII variants in one transaction's URI and header values.
 
     Emits one record per distinct (kind, encoding, location) hit; party and
     blocked_by stay unset. A location value only counts when both its
-    latitude and longitude appear somewhere in the same request.
+    latitude and longitude appear somewhere in the same request; its record
+    sits at its first latitude hit's location and holds both halves' needles.
     ``variants`` comes from build_all_variants().
     """
-    surfaces = _surfaces(tx)
-
+    surfaces = [(URI_LOCATION, urllib.parse.unquote(tx.uri).lower())]
+    surfaces += [(header_location(name), value.lower()) for name, value in tx.headers]
     hits: dict[tuple[PiiKind, Encoding, str], set[str]] = {}
-    location_halves: dict[Encoding, dict[str, list[tuple[str, str]]]] = {}
+    # per encoding: the latitude hits' locations, the halves hit, their needles
+    halves: dict[Encoding, tuple[list[str], set[str], set[str]]] = {}
     for variant in variants:
-        for location, haystack in surfaces:
-            if variant.needle.lower() not in haystack.lower():
-                continue
-            if variant.kind is PiiKind.LOCATION:
-                halves = location_halves.setdefault(variant.encoding, {})
-                halves.setdefault(variant.component, []).append(
-                    (location, variant.needle)
-                )
-            else:
-                hits.setdefault(
-                    (variant.kind, variant.encoding, location), set()
-                ).add(variant.needle)
+        needle = variant.needle.lower()
+        found = [location for location, text in surfaces if needle in text]
+        if not found:
+            continue
+        if variant.kind is PiiKind.LOCATION:
+            lat, components, needles = halves.setdefault(variant.encoding, ([], set(), set()))
+            if variant.component == "lat":
+                lat.extend(found)
+            components.add(variant.component)
+            needles.add(variant.needle)
+            continue
+        for location in found:
+            hits.setdefault((variant.kind, variant.encoding, location), set()).add(variant.needle)
+    for encoding, (lat, components, needles) in halves.items():
+        if components >= {"lat", "long"}:
+            hits[(PiiKind.LOCATION, encoding, lat[0])] = needles
 
-    records = [
+    return [
         ExposureRecord(
             app_id=tx.app_id,
             fqdn=tx.fqdn,
@@ -299,26 +300,10 @@ def scan_transaction(tx: HttpTransaction, variants: Sequence[Variant]) -> list[E
             timestamp=tx.timestamp,
             matched_values=tuple(sorted(needles)),
         )
-        for (kind, encoding, location), needles in hits.items()
+        for (kind, encoding, location), needles in sorted(
+            hits.items(), key=lambda hit: (hit[0][2], hit[0][0].value, hit[0][1].value)
+        )
     ]
-    for encoding, halves in location_halves.items():
-        if "lat" in halves and "long" in halves:
-            lat_hits = halves["lat"]
-            needles = {n for matches in halves.values() for _, n in matches}
-            records.append(
-                ExposureRecord(
-                    app_id=tx.app_id,
-                    fqdn=tx.fqdn,
-                    esld=None,
-                    pii_kind=PiiKind.LOCATION,
-                    encoding=encoding,
-                    location=lat_hits[0][0],
-                    timestamp=tx.timestamp,
-                    matched_values=tuple(sorted(needles)),
-                )
-            )
-    records.sort(key=lambda r: (r.location, r.pii_kind.value, r.encoding.value))
-    return records
 
 
 def attribute_exposures(
@@ -342,44 +327,52 @@ def attribute_exposures(
         known = rec.fqdn in ctx.name_to_esld
         domain = ctx.name_to_esld[rec.fqdn] if known else esld_of(rec.fqdn, rules)
         if domain is None:
-            completed.append(
-                dataclasses.replace(
-                    rec, esld=rec.fqdn, party=PartyLabel.UNDETERMINED, blocked_by=names
-                )
-            )
-            continue
-        party = classify(rec.app_id, developers.get(rec.app_id), domain, ctx)
+            domain, party = rec.fqdn, PartyLabel.UNDETERMINED
+        else:
+            party = classify(rec.app_id, developers.get(rec.app_id), domain, ctx)
         completed.append(dataclasses.replace(rec, esld=domain, party=party, blocked_by=names))
     return completed
 
 
-def redact(tx: HttpTransaction, records: Sequence[ExposureRecord]) -> HttpTransaction:
+def _scrubber(replacements: Iterable[tuple[str, str]]):
+    """Replace each (needle, token) pair's needle with its token, ignoring case."""
+    # Longest needles first so overlapping shorter needles cannot split a span.
+    ordered = sorted(replacements, key=lambda pair: len(pair[0]), reverse=True)
+
+    def scrub(text: str) -> str:
+        for needle, token in ordered:
+            text = re.sub(re.escape(needle), token, text, flags=re.IGNORECASE)
+        return text
+
+    return scrub
+
+
+def redact(
+    tx: HttpTransaction, records: Sequence[ExposureRecord], variants: Sequence[Variant] = ()
+) -> HttpTransaction:
     """Replace every matched PII span with REDACTED_<KIND>.
 
     Matched needles are replaced wherever they occur in the URI, the header
     values and the body, so re-scanning the result finds nothing. The
-    redacted URI is the percent-decoded form that the scan searched. A
-    transaction with no records comes back unchanged, body included.
+    redacted URI is the percent-decoded form that the scan searched. The
+    body, which the scan never searches, is also scrubbed of every needle in
+    ``variants`` (pass the scan's), found or not. A transaction with nothing
+    to replace comes back unchanged.
     """
-    if not records:
+    found = [
+        (needle, rec.pii_kind.redaction_token) for rec in records for needle in rec.matched_values
+    ]
+    scrub = _scrubber(found)
+    body = tx.body
+    if body is not None:
+        body = _scrubber(found + [(v.needle, v.kind.redaction_token) for v in variants])(body)
+    if not found and body == tx.body:
         return tx
-    replacements = []
-    for rec in records:
-        for needle in rec.matched_values:
-            replacements.append((needle, rec.pii_kind.redaction_token))
-    # Longest needles first so overlapping shorter needles cannot split a span.
-    replacements.sort(key=lambda pair: len(pair[0]), reverse=True)
-
-    def scrub(text: str) -> str:
-        for needle, token in replacements:
-            text = re.sub(re.escape(needle), token, text, flags=re.IGNORECASE)
-        return text
-
     return dataclasses.replace(
         tx,
         uri=scrub(urllib.parse.unquote(tx.uri)),
         headers=tuple((name, scrub(value)) for name, value in tx.headers),
-        body=scrub(tx.body) if tx.body is not None else None,
+        body=body,
     )
 
 

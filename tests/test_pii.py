@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvblock.party import ClassificationContext, PartyLabel
 from tvblock.blocklists import BlockList
@@ -347,6 +350,51 @@ class TestRedact:
         )
         out = redact(t, scan_transaction(t, VARIANTS))
         assert out.body == "a=REDACTED_ADVERTISINGID&s=REDACTED_SERIALNUMBER&x=1"
+
+
+# A spec value carries a digit and no "&", so no needle can match inside a
+# REDACTED_<KIND> token or across the "&" that joins planted needles.
+SPEC_VALUES = st.text(alphabet="0123456789abcdefxyz-", min_size=4, max_size=12).filter(
+    lambda value: any(c.isdigit() for c in value)
+)
+
+
+@st.composite
+def planted_transactions(draw):
+    """The variants of drawn spec values, and a transaction that carries some
+    of them, in either case, in its URI, its header values and its body."""
+    mac = ":".join(f"{b:02x}" for b in draw(st.binary(min_size=6, max_size=6)))
+    variants = build_all_variants([
+        PiiSpec(PiiKind.ADVERTISING_ID, (draw(SPEC_VALUES),)),
+        PiiSpec(PiiKind.DEVICE_ID, (draw(SPEC_VALUES),)),
+        PiiSpec(PiiKind.MAC_ADDRESS, (mac,)),
+        PiiSpec(PiiKind.LOCATION, ("33.6846,-117.8265",)),
+    ])
+
+    def plant():
+        picked = draw(st.lists(st.sampled_from(variants), max_size=4))
+        return "&".join(draw(st.sampled_from([v.needle, v.needle.upper()])) for v in picked)
+
+    t = tx(uri="/p?" + plant(), headers=[("X-A", plant()), ("X-B", plant())], body=plant())
+    return variants, t
+
+
+class TestRedactEveryStoredField:
+    @settings(deadline=None)
+    @given(planted_transactions())
+    def test_scan_of_every_stored_field_finds_nothing(self, planted):
+        """After redact() with the scan's variants, the scan's rule applied
+        to the URI, every header value and the body finds nothing."""
+        variants, t = planted
+        out = redact(t, scan_transaction(t, variants), variants)
+        with_body = dataclasses.replace(out, headers=out.headers + (("body", out.body),))
+        assert scan_transaction(with_body, variants) == []
+
+    def test_body_is_scrubbed_of_a_needle_found_nowhere_else(self):
+        t = tx(uri="/p?x=1", body=f"adid={ADID.upper()}")
+        out = redact(t, scan_transaction(t, VARIANTS), VARIANTS)
+        assert (out.uri, out.body) == ("/p?x=1", "adid=REDACTED_ADVERTISINGID")
+        assert redact(t, scan_transaction(t, VARIANTS)) == t  # without the variants
 
 
 class TestAttributeExposures:
