@@ -528,7 +528,7 @@ def cmd_scan_pii(args) -> int:
             )
             for record in attributed:
                 exp_fh.write(json.dumps(record.to_json(), separators=(",", ":")) + "\n")
-            redacted = pii.redact(tx, found).to_json()
+            redacted = pii.redact(tx, found, variants).to_json()
             red_fh.write(json.dumps(redacted, separators=(",", ":")) + "\n")
             count += 1
             total += len(attributed)
@@ -602,12 +602,14 @@ def cmd_serve(args) -> int:
 
     service = None
     # SIGINT may come as soon as the first query is answered, which can be
-    # before serve() returns: it must stop the service from then on.
+    # before serve() returns: it must stop the service from then on. SIGTERM
+    # stops it the same way, also when SIGINT was inherited ignored.
     try:
         sink_cfg.validate()
         service = sinkhole.serve(sink_cfg, lists)
         signal.signal(signal.SIGHUP, reload_lists)
         signal.signal(signal.SIGUSR1, lambda s, f: service.dump_stats())
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
         host, port = service.address
         print(f"sinkhole serving on {host}:{port}; SIGHUP reloads lists", file=sys.stderr)
         while True:
@@ -637,15 +639,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    shared = {
+        "--psl": {"help": "public suffix rules file"},
+        "--lists": {"help": "blocklist manifest JSON (name -> paths)"},
+        "--mode": {"choices": MATCH_MODES, "help": "match mode"},
+        "--out": {"help": "output directory"},
+    }
+
+    def add_common(p, *flags):
+        """--config, then those shared flags that the command reads."""
         p.add_argument("--config", help="global JSON config file")
-        p.add_argument("--psl", help="public suffix rules file")
-        p.add_argument("--lists", help="blocklist manifest JSON (name -> paths)")
-        p.add_argument("--mode", choices=MATCH_MODES, help="match mode")
-        p.add_argument("--out", help="output directory")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p_ingest = sub.add_parser("ingest", help="parse raw logs into a dataset bundle")
-    add_common(p_ingest)
+    add_common(p_ingest, "--out")
     p_ingest.add_argument("--flows", required=True, help="JSONL flow log")
     p_ingest.add_argument("--http", help="JSONL HTTP transaction log")
     p_ingest.add_argument("--label", help="dataset label")
@@ -654,23 +662,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_eval = sub.add_parser("evaluate", help="compute metric tables from bundles")
-    add_common(p_eval)
+    add_common(p_eval, *shared)
     p_eval.add_argument(
         "--bundle", action="append", required=True, help="dataset bundle directory"
     )
     p_eval.add_argument("--max-bucket", type=int, help="terminal popularity bucket")
 
     p_scan = sub.add_parser("scan-pii", help="scan a bundle's HTTP log for PII")
-    add_common(p_scan)
+    add_common(p_scan, *shared)
     p_scan.add_argument("--bundle", required=True, help="dataset bundle directory")
     p_scan.add_argument("--pii-spec", help="PII specification JSON file")
 
     p_cls = sub.add_parser("classify", help="label (app, eSLD) pairs by party")
-    add_common(p_cls)
+    add_common(p_cls, "--psl", "--out")
     p_cls.add_argument("--bundle", required=True, help="dataset bundle directory")
 
     p_serve = sub.add_parser("serve", help="run the DNS sinkhole")
-    add_common(p_serve)
+    add_common(p_serve, "--lists", "--mode")
     p_serve.add_argument("--listen", help="listen address HOST:PORT")
     p_serve.add_argument("--upstream", help="upstream resolver HOST:PORT")
     p_serve.add_argument(

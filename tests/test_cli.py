@@ -354,6 +354,87 @@ class TestServe:
             proc.stderr.close()
 
 
+    @pytest.mark.parametrize("sigint", ["default", "ignored"])
+    def test_sigterm_answers_the_pending_query_and_exits_0(self, tmp_path, sigint):
+        """SIGTERM stops serve as SIGINT does: a query still waiting on a
+        silent upstream gets SERVFAIL and its log line, and serve exits 0.
+        A background job of a non-interactive shell starts with SIGINT
+        ignored; SIGTERM must stop it all the same."""
+        list_file = tmp_path / "list.txt"
+        list_file.write_text("0.0.0.0 ads.sample-fixture.net\n")
+        query_log = tmp_path / "queries.jsonl"
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as upstream:
+            upstream.bind(("127.0.0.1", 0))
+            upstream.settimeout(5)
+            config = tmp_path / "config.json"
+            config.write_text(
+                json.dumps(
+                    {
+                        "lists": {"FIX": [str(list_file)]},
+                        "sinkhole": {
+                            "listen_address": "127.0.0.1:0",
+                            "upstream_resolver": "127.0.0.1:%d" % upstream.getsockname()[1],
+                            "upstream_timeout_ms": 1000,
+                            "query_log_path": str(query_log),
+                        },
+                    }
+                )
+            )
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "tvblock.cli", "serve", "--config", str(config)],
+                stderr=subprocess.PIPE,
+                text=True,
+                preexec_fn=(
+                    (lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+                    if sigint == "ignored"
+                    else None
+                ),
+            )
+            try:
+                match = re.search(r"serving on ([\d.]+):(\d+)", proc.stderr.readline())
+                assert match
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                    client.settimeout(5)
+                    query = dnswire.build_query("example.org", dnswire.TYPE_A, 77)
+                    client.sendto(query, (match.group(1), int(match.group(2))))
+                    upstream.recvfrom(4096)  # forwarded, so now pending
+                    proc.send_signal(signal.SIGTERM)
+                    msg = dnswire.parse_message(client.recvfrom(4096)[0])
+                assert proc.wait(timeout=10) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+                proc.stderr.close()
+        assert (msg.header.txid, msg.header.rcode) == (77, dnswire.RCODE_SERVFAIL)
+        entries = [json.loads(line) for line in query_log.read_text().splitlines()]
+        assert [(e["qname"], e["verdict"]) for e in entries] == [
+            ("example.org", "upstream_error")
+        ]
+
+
+# The shared flags that a command does not read, so does not take.
+UNREAD_FLAGS = [
+    ("ingest", "--psl"),
+    ("ingest", "--lists"),
+    ("ingest", "--mode"),
+    ("classify", "--lists"),
+    ("classify", "--mode"),
+    ("serve", "--psl"),
+    ("serve", "--out"),
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_unread_flag_exits_2(command, flag, capsys):
+    required = {"ingest": ["--flows", "f.jsonl"], "classify": ["--bundle", "b"], "serve": []}
+    value = "exact" if flag == "--mode" else "x"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required[command], flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 class TestClassify:
     def test_writes_classification_rows(self, roku_bundle, tmp_path, capsys):
         out = tmp_path / "cls"
