@@ -16,7 +16,6 @@ from .party import (
     DEFAULT_STOP_TOKENS,
     ClassificationContext,
     PartyLabel,
-    build_context,
     classify_esld,
     esld_of,
     tokenize,
@@ -56,16 +55,6 @@ def dataset_eslds(dataset: Dataset, rules: psl.SuffixRules) -> set[str]:
     found = {esld_of(name, rules) for name in dataset.index.domain_names()}
     found.discard(None)
     return found
-
-
-def app_penetration(esld_value: str, dataset: Dataset, rules: psl.SuffixRules) -> float:
-    """Percentage of the dataset's apps that contact the given eSLD."""
-    apps = dataset.index.apps()
-    if not apps:
-        raise NoAppAttribution("dataset has no app attribution")
-    refs = build_context(dataset, rules).esld_to_apps.get(esld_value, ())
-    contacting = {app for app, _ in refs if app is not None}
-    return 100.0 * len(contacting) / len(apps)
 
 
 def fqdn_app_counts(dataset: Dataset) -> dict[str, int]:

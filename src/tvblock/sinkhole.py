@@ -77,12 +77,6 @@ def respond(data: bytes, lists: Sequence[BlockList], cfg: SinkholeConfig) -> Out
     return Outcome(None, "forwarded", qname, qtype, question=question.wire.lower())
 
 
-def decide(qname: str, qtype: int, lists: Sequence[BlockList], cfg: SinkholeConfig) -> str:
-    """"block" when respond() blocks a query for the name; qtype plays no part."""
-    outcome = respond(dnswire.build_query(qname, qtype, 0), lists, cfg)
-    return "block" if outcome.verdict == "blocked" else "forward"
-
-
 def answer_blocked(query: dnswire.Message, cfg: SinkholeConfig) -> bytes:
     """Synthesize the blackhole response for a blocked query.
 

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional
 
 # Re-exported: these live in the leaf module so the list loaders need not
 # load the data model below.
-from .text import KNOWN_PLATFORMS, decode_json, is_ip_literal, normalize_fqdn
+from .text import decode_json, is_ip_literal, normalize_fqdn
 
 _PLATFORM_ALIASES = {
     "roku": "Roku",
@@ -48,10 +48,6 @@ class Platform:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("platform name must be non-empty")
-
-    @property
-    def is_known(self) -> bool:
-        return self.name in KNOWN_PLATFORMS
 
     @classmethod
     def parse(cls, raw: str) -> "Platform":

@@ -8,7 +8,6 @@ from tvblock.metrics import (
     CyclicParentChain,
     EmptyDomainSet,
     NoAppAttribution,
-    app_penetration,
     ats_label,
     block_rate,
     common_app_overlap,
@@ -57,6 +56,12 @@ class TestBlockRate:
         bl = BlockList("L", frozenset({"a.com"}))
         # duplicates in the iterable collapse before the rate is taken
         assert block_rate(["a.com", "a.com", "b.com"], bl) == 50.0
+
+
+def app_penetration(esld_value, ds, rules):
+    """penetration_table's percentage for one eSLD of ``ds``."""
+    rows = penetration_table(ds, build_context(ds, rules))
+    return {row.esld: row.percent for row in rows}[esld_value]
 
 
 class TestAppPenetration:

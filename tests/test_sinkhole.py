@@ -19,8 +19,8 @@ from tvblock.sinkhole import (
     Sinkhole,
     SinkholeConfig,
     answer_blocked,
-    decide,
     forward,
+    respond,
     serve,
 )
 
@@ -142,23 +142,28 @@ class TestConfig:
             cfg.validate()
 
 
+def verdict(qname, qtype, cfg):
+    """respond()'s verdict on a query for ``qname`` under the BLOCKED list."""
+    return respond(dnswire.build_query(qname, qtype, 0), [BLOCKED], cfg).verdict
+
+
 class TestDecide:
     def test_listed_name_blocks(self):
         cfg = make_config(("127.0.0.1", 5399))
-        assert decide("ads.example.com", dnswire.TYPE_A, [BLOCKED], cfg) == "block"
+        assert verdict("ads.example.com", dnswire.TYPE_A, cfg) == "blocked"
 
     def test_unlisted_name_forwards(self):
         cfg = make_config(("127.0.0.1", 5399))
-        assert decide("example.org", dnswire.TYPE_A, [BLOCKED], cfg) == "forward"
+        assert verdict("example.org", dnswire.TYPE_A, cfg) == "forwarded"
 
     def test_suffix_mode(self):
         cfg = make_config(("127.0.0.1", 5399), match_mode="suffix")
-        assert decide("x.ads.example.com", dnswire.TYPE_A, [BLOCKED], cfg) == "block"
+        assert verdict("x.ads.example.com", dnswire.TYPE_A, cfg) == "blocked"
 
     def test_qtype_does_not_matter(self):
         cfg = make_config(("127.0.0.1", 5399))
         for qtype in (dnswire.TYPE_A, dnswire.TYPE_AAAA, dnswire.TYPE_TXT):
-            assert decide("ads.example.com", qtype, [BLOCKED], cfg) == "block"
+            assert verdict("ads.example.com", qtype, cfg) == "blocked"
 
 
 class TestAnswerBlocked:

@@ -17,6 +17,7 @@ from tvblock.traffic import (
     parse_flow_log,
     parse_http_log,
 )
+from tvblock.text import KNOWN_PLATFORMS
 
 from conftest import dataset
 
@@ -153,7 +154,7 @@ class TestPlatform:
 
     def test_other_platform_carries_name(self):
         p = Platform.parse("TiVo Stream")
-        assert not p.is_known and p.name == "TiVo Stream"
+        assert p.name not in KNOWN_PLATFORMS and p.name == "TiVo Stream"
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
