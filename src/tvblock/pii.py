@@ -268,11 +268,14 @@ def scan_transaction(tx: HttpTransaction, variants: Sequence[Variant]) -> list[E
     """
     surfaces = [(URI_LOCATION, urllib.parse.unquote(tx.uri).lower())]
     surfaces += [(header_location(name), value.lower()) for name, value in tx.headers]
+    joined = "\0".join(text for _, text in surfaces)  # holds every needle that one surface holds
     hits: dict[tuple[PiiKind, Encoding, str], set[str]] = {}
     # per encoding: the latitude hits' locations, the halves hit, their needles
     halves: dict[Encoding, tuple[list[str], set[str], set[str]]] = {}
     for variant in variants:
         needle = variant.needle.lower()
+        if needle not in joined:
+            continue
         found = [location for location, text in surfaces if needle in text]
         if not found:
             continue
@@ -335,7 +338,7 @@ def attribute_exposures(
 
 
 def _scrubber(replacements: Iterable[tuple[str, str]]):
-    """Replace each (needle, token) pair's needle with its token, ignoring case."""
+    """A function that replaces each pair's needle with its token, ignoring case."""
     # Longest needles first so overlapping shorter needles cannot split a span.
     ordered = sorted(replacements, key=lambda pair: len(pair[0]), reverse=True)
 
@@ -362,12 +365,12 @@ def redact(
     found = [
         (needle, rec.pii_kind.redaction_token) for rec in records for needle in rec.matched_values
     ]
-    scrub = _scrubber(found)
     body = tx.body
     if body is not None:
         body = _scrubber(found + [(v.needle, v.kind.redaction_token) for v in variants])(body)
     if not found and body == tx.body:
         return tx
+    scrub = _scrubber(found)
     return dataclasses.replace(
         tx,
         uri=scrub(urllib.parse.unquote(tx.uri)),
