@@ -234,6 +234,54 @@ TOKEN = st.one_of(
                      "x1.y2", "1.2.3.\u0664", "a:b", "localhost", "#", "9.9.9.9."]),
     st.text(st.characters(exclude_categories=["Zs", "Cc"]), min_size=1, max_size=12),
 )
+# Line breaks of str.splitlines; TOKEN_GAP's \x1f splits tokens, not lines.
+LINE_BREAK = st.sampled_from(
+    ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+)
+TOKEN_GAP = st.sampled_from([" ", "\t", "  ", "\x1f"])
+EDGE_TOKEN = st.sampled_from(
+    [
+        "\u212a.com",  # lowers to the ASCII k.com and is kept
+        "\u212a\u212b.com",  # lowers to a name that is not ASCII
+        "\u00e9t\u00e9.com",
+        "1.2.3.4.", "0.0.0.0.", "FE80::1", "fe80::1%lo0", "0.0.0.0", "127.0.0.1",
+        "..", ".", ".lead.com", "a..b.com", "LocalHost.", "Ads.Example.COM.", "x1.y2",
+    ]
+)
+EDGE_LINE = st.one_of(
+    st.tuples(st.lists(st.one_of(EDGE_TOKEN, TOKEN), min_size=1, max_size=3), TOKEN_GAP).map(
+        lambda drawn: drawn[1].join(drawn[0])
+    ),
+    # An address that is not first on its line.
+    st.tuples(DOMAINS, ADDRESS).map(" ".join),
+    st.tuples(ADDRESS, ADDRESS, DOMAINS).map(" ".join),
+    ADDRESS,
+)
+COMMENT = st.sampled_from(["", "", " # note", "#x", "\t# 0.0.0.0 commented.example"])
+
+
+@st.composite
+def long_hosts_texts(draw):
+    """A few hundred clean hosts and bare-domain lines with either a few edge
+    lines or one drawn line break in a few places, each after a comment and
+    before a bare name, so that a break the parse misses hides that name."""
+    n = draw(st.integers(200, 400))
+    lines = [f"0.0.0.0 h{i}.example.com" if i % 2 else f"h{i}.example.net" for i in range(n)]
+    breaks = ["\n"] * n
+    if draw(st.booleans()):
+        for i, line, comment in draw(
+            st.lists(st.tuples(st.integers(0, n - 1), EDGE_LINE, COMMENT), min_size=1, max_size=3)
+        ):
+            lines[i] = line + comment
+    else:
+        # A lone "\r" and the breaks outside ASCII are drawn most: each can
+        # sit in a text that is otherwise plain LF-ended ASCII.
+        line_break = draw(st.one_of(st.just("\r"), st.sampled_from(["\x85", "\u2028"]), LINE_BREAK))
+        for i in draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=3)):
+            lines[i] += " # note"
+            lines[i + 1] = f"after{i}.example.org"
+            breaks[i] = line_break
+    return "".join(line + line_break for line, line_break in zip(lines, breaks))
 
 
 class TestParseHostsListProperties:
@@ -252,6 +300,21 @@ class TestParseHostsListProperties:
 
     @given(st.lists(st.lists(TOKEN, max_size=4).map(" ".join), max_size=12).map("\n".join))
     def test_matches_reference_on_arbitrary_lines(self, text):
+        assert _parse(text) == _reference_parse(text)
+
+    @given(
+        st.lists(
+            st.tuples(st.one_of(EDGE_LINE, st.lists(TOKEN, max_size=3).map(" ".join)), COMMENT),
+            max_size=12,
+        ),
+        st.lists(LINE_BREAK, min_size=12, max_size=12),
+    )
+    def test_matches_reference_on_edge_lines_and_breaks(self, lines, breaks):
+        text = "".join(line + comment + b for (line, comment), b in zip(lines, breaks))
+        assert _parse(text) == _reference_parse(text)
+
+    @given(long_hosts_texts())
+    def test_matches_reference_on_long_texts(self, text):
         assert _parse(text) == _reference_parse(text)
 
     @pytest.mark.parametrize(
