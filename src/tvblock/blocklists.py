@@ -9,10 +9,15 @@ would block a name and answers for every list together, with the set of
 the names of the lists that block it. ``is_blocked`` is the same rule for
 one list.
 
-Loading is linear in the file with no per-line address parse: the leading
-address column is parsed once per file, and a domain token reaches
-``ipaddress`` only when it could be an address (it ends in a digit or
-holds a colon).
+Most files are parsed in one pass over the whole text, in chunks cut at
+line breaks, with string operations that run in C: comments are cut with
+one regex, the text is lowered and split once, and only the distinct
+tokens are looked at. ``ipaddress`` is asked only about a distinct token
+that could be an address (it ends in a digit or holds a colon), and an
+address must be first on every line it is on. The pass applies to ASCII
+text whose lines end in LF or CRLF. Any other text, and any text holding a
+token that the line loop would report, goes to the line loop, which alone
+yields diagnostics.
 """
 
 from __future__ import annotations
@@ -35,7 +40,15 @@ LOOPBACK_NAMES = frozenset(
     {"localhost", "localhost.localdomain", "broadcasthost", "ip6-localhost"}
 )
 
-_ENTRY_RE = re.compile(r"^[a-z0-9_-]+(\.[a-z0-9_-]+)*$")
+_NAME = r"[a-z0-9_-]+(?:\.[a-z0-9_-]+)*"
+_ENTRY_RE = re.compile(f"^{_NAME}$")
+_NAMES_RE = re.compile(f"{_NAME}(?:\n{_NAME})*")  # names joined by "\n"
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_FIRST_TOKEN_RE = re.compile(r"\n[^\S\n]*(\S+)")  # over "\n" + text
+# str.splitlines breaks lines at these, and str.split at them too; the
+# whole-text pass takes only "\n" and "\r\n" as line ends.
+_OTHER_ASCII_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+_CHUNK_CHARS = 1 << 18  # bounds the pass's transient token lists
 
 
 class BlocklistError(ValueError):
@@ -81,6 +94,54 @@ def parse_hosts_list(
     token is normalized. Unparseable tokens are skipped; pass a list to
     collect diagnostics for them.
     """
+    if (
+        text.isascii()
+        and text.count("\r") == text.count("\r\n")
+        and not any(brk in text for brk in _OTHER_ASCII_BREAKS)
+    ):
+        domains: set[str] = set()
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+            names = _parse_whole(text[start:end])
+            if names is None:
+                break
+            domains |= names
+            start = end
+        else:
+            return domains
+    return _parse_lines(text, diagnostics)
+
+
+def _parse_whole(text: str) -> Optional[set[str]]:
+    """The entries of ASCII text whose lines end in LF or CRLF, or None when
+    the line loop would report one of its tokens."""
+    body = _COMMENT_RE.sub("", text).lower()
+    tokens = body.split()
+    names = set(tokens)
+    firsts = None
+    for token in [t for t in names if ":" in t or t[-1] in "0123456789."]:
+        names.discard(token)
+        name = token.rstrip(".")
+        if not is_ip_literal(name):
+            names.add(name)
+            continue
+        # An address is dropped silently only as the first token of a line.
+        if firsts is None:
+            firsts = _FIRST_TOKEN_RE.findall("\n" + body)
+        if name != token or tokens.count(token) != firsts.count(token):
+            return None
+    names -= LOOPBACK_NAMES
+    names.discard("")
+    if names and not _NAMES_RE.fullmatch("\n".join(names)):
+        return None
+    return names
+
+
+def _parse_lines(
+    text: str, diagnostics: Optional[list[HostsLineDiagnostic]]
+) -> set[str]:
+    """parse_hosts_list one line at a time, for every text."""
     domains: set[str] = set()
     addresses: set[str] = set()  # leading tokens already proven addresses
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -109,20 +170,20 @@ def build_list(name: str, files: Sequence[str]) -> BlockList:
     """Build a named blocklist from the union of one or more hosts files."""
     if not files:
         raise EmptyList(f"list {name!r} has no source files")
-    entries: set[str] = set()
+    parsed: list[set[str]] = []
     for path in files:
         try:
-            with open(path, encoding="utf-8", errors="replace") as fh:
+            with open(path, encoding="utf-8-sig", errors="replace") as fh:
                 text = fh.read()
         except OSError as exc:
             raise FileUnreadable(str(path), exc.strerror or str(exc)) from exc
         diagnostics: list[HostsLineDiagnostic] = []
-        entries |= parse_hosts_list(text, diagnostics)
+        parsed.append(parse_hosts_list(text, diagnostics))
         for diag in diagnostics:
             log.warning(
                 "%s:%d: skipped %r (%s)", path, diag.line_no, diag.token, diag.reason
             )
-    return BlockList(name=name, entries=frozenset(entries))
+    return BlockList(name=name, entries=frozenset().union(*parsed))
 
 
 def blocked_by(

@@ -76,6 +76,20 @@ class TestBuildList:
         with pytest.raises(FileUnreadable):
             build_list("PD", [str(tmp_path / "missing.txt")])
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\ufeffads.example.com\ntrack.example.net\n",
+            "\ufeff0.0.0.0 ads.example.com\r\n0.0.0.0 track.example.net\r\n",
+        ],
+        ids=["bare-domain", "hosts"],
+    )
+    def test_byte_order_mark_is_not_read_as_text(self, tmp_path, caplog, text):
+        path = tmp_path / "bom.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert build_list("L", [str(path)]).entries == {"ads.example.com", "track.example.net"}
+        assert "skipped" not in caplog.text
+
     def test_fixture_hand_count(self, tmp_path):
         # 5 files, 12 raw lines total: 1 comment + 11 entries of which 2 are
         # duplicates -> 9 unique entries
