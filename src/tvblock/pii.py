@@ -338,14 +338,34 @@ def attribute_exposures(
 
 
 def _scrubber(replacements: Iterable[tuple[str, str]]):
-    """A function that replaces each pair's needle with its token, ignoring case."""
-    # Longest needles first so overlapping shorter needles cannot split a span.
+    """A function that replaces each pair's needle with its token, ignoring case.
+
+    Every needle's spans are found on the original text and replaced in one
+    leftmost-longest pass, so a needle never matches inside a token that the
+    pass wrote.
+    """
+    # Longest first, so that of the needles starting at one place the longest wins.
     ordered = sorted(replacements, key=lambda pair: len(pair[0]), reverse=True)
+    # One pattern per needle, and needles come from the variants, so re's
+    # cache holds no more patterns than there are variants.
+    finders = [
+        (re.compile(f"(?={re.escape(needle)})", re.IGNORECASE), len(needle), token)
+        for needle, token in ordered
+    ]
 
     def scrub(text: str) -> str:
-        for needle, token in ordered:
-            text = re.sub(re.escape(needle), token, text, flags=re.IGNORECASE)
-        return text
+        spans = sorted(
+            (match.start(), rank, size, token)
+            for rank, (finder, size, token) in enumerate(finders)
+            for match in finder.finditer(text)
+        )
+        pieces, end = [], 0
+        for start, _, size, token in spans:
+            if start >= end:
+                pieces += (text[end:start], token)
+                end = start + size
+        pieces.append(text[end:])
+        return "".join(pieces)
 
     return scrub
 

@@ -342,6 +342,17 @@ class TestRedact:
         out = redact(t, scan_transaction(t, VARIANTS))
         assert out.uri == "/p?adid=REDACTED_ADVERTISINGID&q=a b/c"
 
+    def test_a_needle_inside_a_written_token_is_left_alone(self):
+        """Every token contains "ted"; the token written for the advertising
+        ID stays whole, and each span is replaced once."""
+        variants = build_all_variants(
+            [PiiSpec(PiiKind.ACCOUNT_NAME, ("ted",)), PiiSpec(PiiKind.ADVERTISING_ID, ("ab12cd34",))]
+        )
+        t = tx(uri="/p?a=ted&b=ab12cd34", body="ted&AB12CD34")
+        out = redact(t, scan_transaction(t, variants), variants)
+        assert out.uri == "/p?a=REDACTED_ACCOUNTNAME&b=REDACTED_ADVERTISINGID"
+        assert out.body == "REDACTED_ACCOUNTNAME&REDACTED_ADVERTISINGID"
+
     def test_body_scrubbed_of_needles_found_elsewhere(self):
         t = tx(
             uri=f"/p?adid={ADID}",
@@ -359,14 +370,23 @@ SPEC_VALUES = st.text(alphabet="0123456789abcdefxyz-", min_size=4, max_size=12).
 )
 
 
+# Values built from the letters of the REDACTED_<KIND> tokens, some of them
+# inside every token ("ted") or inside one ("adver").
+TOKEN_LETTER_VALUES = st.one_of(
+    st.sampled_from(["ted", "acted", "adver", "ID", "d_a", "serial"]),
+    st.text(alphabet="redactvisngmbuol_IDS1", min_size=2, max_size=10),
+)
+
+
 @st.composite
-def planted_transactions(draw):
+def planted_transactions(draw, values=SPEC_VALUES):
     """The variants of drawn spec values, and a transaction that carries some
     of them, in either case, in its URI, its header values and its body."""
     mac = ":".join(f"{b:02x}" for b in draw(st.binary(min_size=6, max_size=6)))
     variants = build_all_variants([
-        PiiSpec(PiiKind.ADVERTISING_ID, (draw(SPEC_VALUES),)),
-        PiiSpec(PiiKind.DEVICE_ID, (draw(SPEC_VALUES),)),
+        PiiSpec(PiiKind.ADVERTISING_ID, (draw(values),)),
+        PiiSpec(PiiKind.DEVICE_ID, (draw(values),)),
+        PiiSpec(PiiKind.ACCOUNT_NAME, (draw(values),)),
         PiiSpec(PiiKind.MAC_ADDRESS, (mac,)),
         PiiSpec(PiiKind.LOCATION, ("33.6846,-117.8265",)),
     ])
@@ -389,6 +409,16 @@ class TestRedactEveryStoredField:
         out = redact(t, scan_transaction(t, variants), variants)
         with_body = dataclasses.replace(out, headers=out.headers + (("body", out.body),))
         assert scan_transaction(with_body, variants) == []
+
+    @settings(deadline=None)
+    @given(planted_transactions(TOKEN_LETTER_VALUES))
+    def test_each_planted_body_needle_becomes_one_whole_token(self, planted):
+        """The body is scrubbed of every variant, so each planted needle,
+        whatever letters it shares with the tokens, becomes one token."""
+        variants, t = planted
+        out = redact(t, scan_transaction(t, variants), variants)
+        tokens = {kind.redaction_token for kind in PiiKind}
+        assert set(out.body.split("&")) <= tokens | {""}
 
     def test_body_is_scrubbed_of_a_needle_found_nowhere_else(self):
         t = tx(uri="/p?x=1", body=f"adid={ADID.upper()}")
