@@ -48,7 +48,9 @@ _FIRST_TOKEN_RE = re.compile(r"\n[^\S\n]*(\S+)")  # over "\n" + text
 # str.splitlines breaks lines at these, and str.split at them too; the
 # whole-text pass takes only "\n" and "\r\n" as line ends.
 _OTHER_ASCII_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
-_CHUNK_CHARS = 1 << 18  # bounds the pass's transient token lists
+# Small chunks: each chunk's transient strings and lists fit in the memory
+# the last one freed, so a build's RSS stays at the line loop's.
+_CHUNK_CHARS = 1 << 12
 
 
 class BlocklistError(ValueError):
