@@ -13,11 +13,12 @@ Most files are parsed in one pass over the whole text, in chunks cut at
 line breaks, with string operations that run in C: comments are cut with
 one regex, the text is lowered and split once, and only the distinct
 tokens are looked at. ``ipaddress`` is asked only about a distinct token
-that could be an address (it ends in a digit or holds a colon), and an
-address must be first on every line it is on. The pass applies to ASCII
-text whose lines end in LF or CRLF. Any other text, and any text holding a
-token that the line loop would report, goes to the line loop, which alone
-yields diagnostics.
+that could be an address (it ends in a digit or holds a colon). An address
+must open every line it is on, before a space or a tab, and the other
+tokens are checked as entries all at once. The pass applies to ASCII text
+whose lines end in LF or CRLF. Any other text, and any text holding a token
+that the pass cannot take, goes to the line loop, which alone yields
+diagnostics.
 """
 
 from __future__ import annotations
@@ -40,11 +41,9 @@ LOOPBACK_NAMES = frozenset(
     {"localhost", "localhost.localdomain", "broadcasthost", "ip6-localhost"}
 )
 
-_NAME = r"[a-z0-9_-]+(?:\.[a-z0-9_-]+)*"
-_ENTRY_RE = re.compile(f"^{_NAME}$")
-_NAMES_RE = re.compile(f"{_NAME}(?:\n{_NAME})*")  # names joined by "\n"
+_ENTRY_RE = re.compile(r"^[a-z0-9_-]+(\.[a-z0-9_-]+)*$")
+_ENTRY_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789_-.\n"  # and the "\n" joining them
 _COMMENT_RE = re.compile(r"#[^\n]*")
-_FIRST_TOKEN_RE = re.compile(r"\n[^\S\n]*(\S+)")  # over "\n" + text
 # str.splitlines breaks lines at these, and str.split at them too; the
 # whole-text pass takes only "\n" and "\r\n" as line ends.
 _OTHER_ASCII_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
@@ -117,25 +116,30 @@ def parse_hosts_list(
 
 def _parse_whole(text: str) -> Optional[set[str]]:
     """The entries of ASCII text whose lines end in LF or CRLF, or None when
-    the line loop would report one of its tokens."""
-    body = _COMMENT_RE.sub("", text).lower()
+    a token needs the line loop: one that it would report, or an address
+    that does not open its line before a space or a tab."""
+    body = "\n" + _COMMENT_RE.sub("", text).lower()
     tokens = body.split()
     names = set(tokens)
-    firsts = None
     for token in [t for t in names if ":" in t or t[-1] in "0123456789."]:
         names.discard(token)
         name = token.rstrip(".")
         if not is_ip_literal(name):
             names.add(name)
             continue
-        # An address is dropped silently only as the first token of a line.
-        if firsts is None:
-            firsts = _FIRST_TOKEN_RE.findall("\n" + body)
-        if name != token or tokens.count(token) != firsts.count(token):
+        # The line loop drops an address silently only as a line's first
+        # token; the pass takes it only at the start of lines, before a
+        # space or a tab.
+        head = "\n" + token
+        opening = body.count(head + " ") + body.count(head + "\t")
+        if name != token or opening != tokens.count(token):
             return None
     names -= LOOPBACK_NAMES
     names.discard("")
-    if names and not _NAMES_RE.fullmatch("\n".join(names)):
+    # Each name must match _ENTRY_RE: only its characters and no empty
+    # label (none ends in "." now).
+    joined = "\n" + "\n".join(names)
+    if joined.encode().translate(None, _ENTRY_BYTES) or ".." in joined or "\n." in joined:
         return None
     return names
 
