@@ -346,24 +346,23 @@ def _scrubber(replacements: Iterable[tuple[str, str]]):
     """
     # Longest first, so that of the needles starting at one place the longest wins.
     ordered = sorted(replacements, key=lambda pair: len(pair[0]), reverse=True)
-    # One pattern per needle, and needles come from the variants, so re's
-    # cache holds no more patterns than there are variants.
-    finders = [
-        (re.compile(f"(?={re.escape(needle)})", re.IGNORECASE), len(needle), token)
-        for needle, token in ordered
-    ]
+    # One pattern per needle; needles come from the variants, so re's cache
+    # holds no more patterns than there are variants.
+    finders = [(re.compile(re.escape(needle), re.IGNORECASE), token) for needle, token in ordered]
 
     def scrub(text: str) -> str:
-        spans = sorted(
-            (match.start(), rank, size, token)
-            for rank, (finder, size, token) in enumerate(finders)
-            for match in finder.finditer(text)
-        )
+        spans = []
+        for rank, (finder, token) in enumerate(finders):
+            match = finder.search(text)
+            while match:  # every start, overlapping ones too
+                spans.append((match.start(), rank, match.end(), token))
+                match = finder.search(text, match.start() + 1)
+        spans.sort()
         pieces, end = [], 0
-        for start, _, size, token in spans:
+        for start, _, stop, token in spans:
             if start >= end:
                 pieces += (text[end:start], token)
-                end = start + size
+                end = stop
         pieces.append(text[end:])
         return "".join(pieces)
 
