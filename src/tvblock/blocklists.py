@@ -42,7 +42,7 @@ LOOPBACK_NAMES = frozenset(
 )
 
 _ENTRY_RE = re.compile(r"^[a-z0-9_-]+(\.[a-z0-9_-]+)*$")
-_ENTRY_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789_-.\n"  # and the "\n" joining them
+_ENTRY_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789_-.\n"  # and the "\n" that joins entries
 _COMMENT_RE = re.compile(r"#[^\n]*")
 # str.splitlines breaks lines at these, and str.split at them too; the
 # whole-text pass takes only "\n" and "\r\n" as line ends.

@@ -290,7 +290,9 @@ def long_hosts_texts(draw):
     else:
         # A lone "\r" and the breaks outside ASCII are drawn most: each can
         # sit in a text that is otherwise plain LF-ended ASCII.
-        line_break = draw(st.one_of(st.just("\r"), st.sampled_from(["\x85", "\u2028"]), LINE_BREAK))
+        line_break = draw(
+            st.one_of(st.just("\r"), st.sampled_from(["\x85", "\u2028"]), LINE_BREAK)
+        )
         for i in draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=3)):
             lines[i] += " # note"
             lines[i + 1] = f"after{i}.example.org"

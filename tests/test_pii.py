@@ -345,9 +345,10 @@ class TestRedact:
     def test_a_needle_inside_a_written_token_is_left_alone(self):
         """Every token contains "ted"; the token written for the advertising
         ID stays whole, and each span is replaced once."""
-        variants = build_all_variants(
-            [PiiSpec(PiiKind.ACCOUNT_NAME, ("ted",)), PiiSpec(PiiKind.ADVERTISING_ID, ("ab12cd34",))]
-        )
+        variants = build_all_variants([
+            PiiSpec(PiiKind.ACCOUNT_NAME, ("ted",)),
+            PiiSpec(PiiKind.ADVERTISING_ID, ("ab12cd34",)),
+        ])
         t = tx(uri="/p?a=ted&b=ab12cd34", body="ted&AB12CD34")
         out = redact(t, scan_transaction(t, variants), variants)
         assert out.uri == "/p?a=REDACTED_ACCOUNTNAME&b=REDACTED_ADVERTISINGID"
