@@ -56,23 +56,23 @@ def write_bundle(
     """Write a capture as a bundle and return the summary in its summary.json.
 
     The records and transactions go to flows.jsonl and http.jsonl, one
-    compact JSON object a line, and are then folded into the contact index
-    that summary.json counts. meta.json holds the label and the platform,
-    which defaults to the index's.
+    compact JSON object a line, and are then folded into the dataset that
+    summary.json counts. meta.json holds the label and the dataset's
+    platform.
     """
-    from .traffic import Dataset, dataset_summary, index_contacts
+    from .traffic import dataset_summary, index_contacts
 
     os.makedirs(out_dir, exist_ok=True)
     for name, items in (("flows.jsonl", records), ("http.jsonl", transactions)):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             for item in items:
                 fh.write(json.dumps(item.to_json(), separators=(",", ":")) + "\n")
-    dataset = Dataset(label, index_contacts(records, transactions), platform)
+    dataset = index_contacts(label, records, transactions, platform)
     summary = dataset_summary(dataset)
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary.to_json(), fh, indent=2)
+        json.dump(summary._asdict(), fh, indent=2)
         fh.write("\n")
-    meta = {"label": label, "platform": dataset.platform.name if dataset.platform else None}
+    meta = {"label": label, "platform": dataset.platform_name}
     with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
@@ -101,12 +101,12 @@ def _read_bundle_log(path: str, build, what: str):
 
 
 def load_bundle(bundle_dir: str) -> Dataset:
-    """Load a bundle by streaming its logs into the dataset's contact index.
+    """Load a bundle by streaming its logs into its Dataset.
 
     Neither log is kept. This read is the one that warns about a log's
     skipped lines and refuses a log with none parsable (CliError).
     """
-    from .traffic import Dataset, FlowRecord, HttpTransaction, Platform, index_contacts
+    from .traffic import FlowRecord, HttpTransaction, Platform, index_contacts
 
     meta_path = os.path.join(bundle_dir, "meta.json")
     flows_path = os.path.join(bundle_dir, "flows.jsonl")
@@ -133,7 +133,7 @@ def load_bundle(bundle_dir: str) -> Dataset:
     transactions = ()
     if os.path.exists(http_path):
         transactions = _read_bundle_log(http_path, HttpTransaction.from_json, "transactions")
-    return Dataset(label, index_contacts(records, transactions), platform)
+    return index_contacts(label, records, transactions, platform)
 
 
 def load_bundle_exposures(bundle_dir: str) -> Optional[list[pii.ExposureRecord]]:
@@ -236,11 +236,10 @@ def _load_processes(cfg: GlobalConfig) -> frozenset[str]:
 def _build_ctx(dataset: Dataset, rules, cfg: GlobalConfig, processes: frozenset[str]):
     from .party import build_context
 
-    markers = cfg.platform_markers.get(dataset.platform.name) if dataset.platform else None
     return build_context(
         dataset,
         rules,
-        platform_markers=markers,
+        platform_markers=cfg.platform_markers.get(dataset.platform_name),
         platform_processes=processes,
         stop_tokens=_stop_tokens(cfg),
     )
@@ -283,7 +282,7 @@ def cmd_ingest(args) -> int:
     platform = Platform.parse(args.platform) if args.platform else None
     label = args.label or os.path.basename(os.path.normpath(cfg.output_dir))
     summary = write_bundle(cfg.output_dir, label, flows.records, transactions, platform)
-    print(json.dumps({"label": label, **summary.to_json()}, indent=2))
+    print(json.dumps({"label": label, **summary._asdict()}, indent=2))
     return EXIT_PARTIAL if flows.errors or http_errors else EXIT_OK
 
 
@@ -299,12 +298,11 @@ def _block_rate_rows(dataset: Dataset, ctx, lists, cfg: GlobalConfig) -> list[tu
     """
     from collections import Counter
 
-    platform = dataset.platform.name if dataset.platform else dataset.label
     fqdn_count = flow_count = 0
     # per mode: list name -> the names it blocks, and -> their flow records
     blocked = {mode: Counter() for mode in MATCH_MODES}
     blocked_flows = {mode: Counter() for mode in MATCH_MODES}
-    for name, (is_ip, flows) in dataset.index.names.items():
+    for name, (is_ip, flows) in dataset.names.items():
         if is_ip:
             continue
         fqdn_count += 1
@@ -320,7 +318,7 @@ def _block_rate_rows(dataset: Dataset, ctx, lists, cfg: GlobalConfig) -> list[tu
     rows = []
     for bl in lists:
         row = (
-            platform,
+            dataset.platform_label,
             bl.name,
             fqdn_count,
             len(ctx.esld_to_apps),
@@ -333,13 +331,13 @@ def _block_rate_rows(dataset: Dataset, ctx, lists, cfg: GlobalConfig) -> list[tu
     return rows
 
 
-def _pii_rows(bundle_dir: str, dataset: Dataset, platform: str, notes: list[str]) -> list:
+def _pii_rows(bundle_dir: str, dataset: Dataset, notes: list[str]) -> list:
     from . import metrics
 
     exposures = load_bundle_exposures(bundle_dir)
     if exposures is None:
         notes.append(f"no exposures.jsonl in {dataset.label}; run scan-pii for PII rows")
-    return metrics.pii_block_table(exposures or [], platform)
+    return metrics.pii_block_table(exposures or [], dataset.platform_label)
 
 
 def cmd_evaluate(args) -> int:
@@ -357,8 +355,8 @@ def cmd_evaluate(args) -> int:
     summaries = [
         {
             "label": ds.label,
-            "platform": ds.platform.name if ds.platform else None,
-            "summary": dataset_summary(ds).to_json(),
+            "platform": ds.platform_name,
+            "summary": dataset_summary(ds)._asdict(),
         }
         for ds in bundles
     ]
@@ -384,7 +382,7 @@ def cmd_evaluate(args) -> int:
     keywords = tuple(cfg.keywords) if cfg.keywords else metrics.DEFAULT_KEYWORDS
 
     for bundle_dir, dataset in zip(args.bundle, bundles):
-        platform = dataset.platform.name if dataset.platform else dataset.label
+        platform = dataset.platform_label
         try:
             ctx = _build_ctx(dataset, rules, cfg, processes)
         except Exception as exc:
@@ -401,11 +399,11 @@ def cmd_evaluate(args) -> int:
                     dataset, lists, cfg.max_bucket, cfg.match_mode
                 )
             ],
-            "pii_table": lambda: _pii_rows(bundle_dir, dataset, platform, notes),
+            "pii_table": lambda: _pii_rows(bundle_dir, dataset, notes),
             "fn_candidates": lambda: [
                 (platform, row)
                 for row in metrics.keyword_fn_candidates(
-                    dataset.index.domain_names(), lists, keywords, cfg.match_mode
+                    dataset.domain_names(), lists, keywords, cfg.match_mode
                 )
             ],
         }
@@ -437,7 +435,7 @@ def cmd_evaluate(args) -> int:
             ats_labeled = sorted(
                 fqdn
                 for dataset in bundles
-                for fqdn in dataset.index.domain_names()
+                for fqdn in dataset.domain_names()
                 if metrics.ats_label(fqdn, labels, lists, cfg.match_mode)
             )
         except (OSError, ValueError) as exc:
@@ -506,7 +504,7 @@ def cmd_scan_pii(args) -> int:
         raise CliError(f"invalid PII spec: {exc}") from exc
 
     ctx = _build_ctx(dataset, rules, cfg, processes)
-    developers = dataset.index.first_developers(known_only=True)
+    developers = dataset.first_developers(known_only=True)
 
     out_dir = args.out or args.bundle
     os.makedirs(out_dir, exist_ok=True)
@@ -523,9 +521,7 @@ def cmd_scan_pii(args) -> int:
     ):
         for tx in iter_jsonl(lines, HttpTransaction.from_json, "transactions", []):
             found = pii.scan_transaction(tx, variants)
-            attributed = pii.attribute_exposures(
-                found, ctx, lists, rules, cfg.match_mode, developers
-            )
+            attributed = pii.attribute_exposures(found, ctx, lists, cfg.match_mode, developers)
             for record in attributed:
                 exp_fh.write(json.dumps(record.to_json(), separators=(",", ":")) + "\n")
             redacted = pii.redact(tx, found, variants).to_json()
@@ -558,11 +554,11 @@ def cmd_classify(args) -> int:
     processes = _load_processes(cfg)
     dataset = load_bundle(args.bundle)
     ctx = _build_ctx(dataset, rules, cfg, processes)
-    platform = dataset.platform.name if dataset.platform else dataset.label
+    platform = dataset.platform_label
 
     # Each (app, eSLD) pair keeps the first developer seen with it.
     pairs = {}
-    for name, app_id, developer in dataset.index.contacts:
+    for name, app_id, developer in dataset.contacts:
         domain = ctx.name_to_esld[name]
         if app_id is not None and domain is not None:
             pairs.setdefault((app_id, domain), developer)

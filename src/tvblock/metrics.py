@@ -52,7 +52,7 @@ def block_rate(
 
 def dataset_eslds(dataset: Dataset, rules: psl.SuffixRules) -> set[str]:
     """Distinct registrable domains across a dataset's destinations."""
-    found = {esld_of(name, rules) for name in dataset.index.domain_names()}
+    found = {esld_of(name, rules) for name in dataset.domain_names()}
     found.discard(None)
     return found
 
@@ -63,8 +63,7 @@ def fqdn_app_counts(dataset: Dataset) -> dict[str, int]:
     Destinations seen only in unattributed traffic (and IP literals) do not
     appear; app-level metrics exclude them.
     """
-    names = dataset.index.names
-    per_name = dataset.index.apps_per_name()
+    names, per_name = dataset.names, dataset.apps_per_name()
     return {name: len(apps) for name, apps in per_name.items() if not names[name][0]}
 
 
@@ -113,7 +112,7 @@ def penetration_table(dataset: Dataset, ctx: ClassificationContext) -> list[Pene
     ctx must come from build_context over the same dataset: its apps per
     eSLD are the penetration counts.
     """
-    apps = dataset.index.apps()
+    apps = dataset.apps()
     if not apps:
         raise NoAppAttribution("dataset has no app attribution")
     rows = []
@@ -172,10 +171,10 @@ def common_app_overlap(
 
     def app_index(dataset: Dataset) -> dict[str, tuple[str, Optional[str], set[str]]]:
         fqdns_per_app: dict[str, set[str]] = {}
-        for name, app_id, _ in dataset.index.contacts:
+        for name, app_id, _ in dataset.contacts:
             if app_id is not None:
                 fqdns_per_app.setdefault(app_id, set()).add(name)
-        developer = dataset.index.first_developers()
+        developer = dataset.first_developers()
         index: dict[str, tuple[str, Optional[str], set[str]]] = {}
         for app_id, fqdns in fqdns_per_app.items():
             key = normalize_app_name(app_id, stops)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from . import psl
-from .traffic import Dataset, Platform, read_jsonl
+from .traffic import Dataset, read_jsonl
 
 _TOKEN_RE = re.compile(r"[a-z]+|[0-9]+")
 # A token an app (or its developer) shares with an eSLD makes the eSLD first
@@ -179,16 +179,15 @@ def build_context(
     Destinations without a registrable domain (IP literals, bare public
     suffixes) are left out; callers treat them as unclassifiable.
     """
-    platform = dataset.platform or Platform("Other")
     if platform_markers is None:
-        markers = DEFAULT_PLATFORM_MARKERS.get(platform.name, frozenset())
+        markers = DEFAULT_PLATFORM_MARKERS.get(dataset.platform_name, frozenset())
     else:
         markers = frozenset(m.lower() for m in platform_markers)
 
-    names = dataset.index.names
+    names = dataset.names
     name_to_esld = {n: None if is_ip else esld_of(n, rules) for n, (is_ip, _) in names.items()}
     esld_to_apps: dict[str, set[AppRef]] = {}
-    for name, app_id, developer in dataset.index.contacts:
+    for name, app_id, developer in dataset.contacts:
         if name_to_esld[name] is not None:
             esld_to_apps.setdefault(name_to_esld[name], set()).add((app_id, developer))
     return ClassificationContext(

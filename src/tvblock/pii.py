@@ -20,9 +20,8 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from . import psl
 from .blocklists import BlockList, MatchMode, blocked_by
-from .party import ClassificationContext, PartyLabel, classify, esld_of
+from .party import ClassificationContext, PartyLabel, classify
 from .traffic import HttpTransaction, decode_json, require_field
 
 log = logging.getLogger(__name__)
@@ -313,22 +312,21 @@ def attribute_exposures(
     records: Iterable[ExposureRecord],
     ctx: ClassificationContext,
     lists: Sequence[BlockList],
-    rules: psl.SuffixRules,
     mode: MatchMode = "exact",
     developers: Optional[dict[str, Optional[str]]] = None,
 ) -> list[ExposureRecord]:
     """Fill in the destination party and blocking verdict for each exposure.
 
     An exposure counts as blocked when at least one list blocks its
-    destination. Destinations without a registrable domain (IP literals)
-    keep the raw name and stay undetermined.
+    destination. Its eSLD is the context's: a destination without one (an
+    IP literal, or a name the context does not hold) keeps the raw name and
+    stays undetermined.
     """
     developers = developers or {}
     completed = []
     for rec in records:
         names = blocked_by(rec.fqdn, lists, mode)
-        known = rec.fqdn in ctx.name_to_esld
-        domain = ctx.name_to_esld[rec.fqdn] if known else esld_of(rec.fqdn, rules)
+        domain = ctx.name_to_esld.get(rec.fqdn)
         if domain is None:
             domain, party = rec.fqdn, PartyLabel.UNDETERMINED
         else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 # Re-exported: these live in the leaf module so the list loaders need not
 # load the data model below.
@@ -56,9 +56,6 @@ class Platform:
             raise ValueError("platform name must be non-empty")
         return cls(_PLATFORM_ALIASES.get(key, raw.strip()))
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.name
-
 
 @dataclass(frozen=True)
 class FlowRecord:
@@ -89,11 +86,6 @@ class FlowRecord:
             raise ValueError("byte counts must be >= 0")
         if not isinstance(self.start_time, int):
             raise ValueError("start_time must be integer UTC milliseconds")
-
-    @property
-    def is_ip(self) -> bool:
-        """True when the "fqdn" field actually holds an IP literal."""
-        return is_ip_literal(self.fqdn)
 
     def to_json(self) -> dict:
         obj = {
@@ -131,7 +123,7 @@ class FlowRecord:
 class HttpTransaction:
     """One HTTP request, possibly recovered from a decrypted flow.
 
-    Header names are preserved verbatim; lookups compare case-insensitively.
+    Header names are preserved verbatim.
     ``uri`` is the request path plus query string and must start with "/".
     ``body`` is optional: most captures are header-level only.
     """
@@ -154,18 +146,6 @@ class HttpTransaction:
             raise ValueError("uri must start with '/'")
         if not self.fqdn or self.fqdn != normalize_fqdn(self.fqdn):
             raise ValueError(f"fqdn not normalized: {self.fqdn!r}")
-
-    def header(self, name: str) -> Optional[str]:
-        """First header value whose name matches case-insensitively."""
-        wanted = name.lower()
-        for hname, value in self.headers:
-            if hname.lower() == wanted:
-                return value
-        return None
-
-    @property
-    def is_ip(self) -> bool:
-        return is_ip_literal(self.fqdn)
 
     def to_json(self) -> dict:
         obj = {
@@ -354,8 +334,8 @@ Contact = tuple[str, Optional[str], Optional[str]]  # (name, app_id, developer)
 
 
 @dataclass(frozen=True)
-class ContactIndex:
-    """Who contacted what in one dataset, each distinct fact held once.
+class Dataset:
+    """A capture under its label: who contacted what, each distinct fact once.
 
     ``names`` maps each distinct destination name to (is an IP literal,
     number of flow records); ``contacts`` holds the distinct
@@ -371,16 +351,24 @@ class ContactIndex:
       pair (``cli.cmd_classify``).
 
     ``uri_path_count`` is the number of distinct transaction URI paths
-    (query string stripped) and ``platform`` the platform of the first
-    record, else of the first transaction. ``index_contacts`` builds the
-    index in one pass over records and transactions, whether they are held
-    in lists or streamed from a bundle's logs.
+    (query string stripped). ``index_contacts`` is the one constructor.
     """
 
+    label: str
     names: dict[str, tuple[bool, int]]
     contacts: tuple[Contact, ...]
     uri_path_count: int = 0
     platform: Optional[Platform] = None
+
+    @property
+    def platform_name(self) -> Optional[str]:
+        """The platform's name, or None when the capture has none."""
+        return self.platform.name if self.platform else None
+
+    @property
+    def platform_label(self) -> str:
+        """A table row's platform column: the platform's name, else the label."""
+        return self.platform_name or self.label
 
     def domain_names(self) -> list[str]:
         """Distinct names that are domain names (IP literals dropped)."""
@@ -408,17 +396,20 @@ class ContactIndex:
 
 
 def index_contacts(
-    records: Iterable[FlowRecord], transactions: Iterable[HttpTransaction]
-) -> ContactIndex:
-    """Fold flow records, then transactions, into a ContactIndex.
+    label: str,
+    records: Iterable[FlowRecord],
+    transactions: Iterable[HttpTransaction],
+    platform: Optional[Platform] = None,
+) -> Dataset:
+    """Fold flow records, then transactions, into the Dataset under ``label``.
 
     Each item is consumed once and not kept, so streams from a log reader
-    are indexed without holding their records.
+    are indexed without holding their records. The platform is the declared
+    one, else the first record's, else the first transaction's.
     """
     flows: dict[str, int] = {}
     contacts: dict[Contact, None] = {}
     paths: set[str] = set()
-    platform = None
     for rec in records:
         platform = platform or rec.platform
         flows[rec.fqdn] = flows.get(rec.fqdn, 0) + 1
@@ -429,42 +420,14 @@ def index_contacts(
         contacts[tx.fqdn, tx.app_id, tx.developer] = None
         paths.add(tx.uri.split("?", 1)[0])
     names = {name: (is_ip_literal(name), count) for name, count in flows.items()}
-    return ContactIndex(names, tuple(contacts), len(paths), platform)
+    return Dataset(label, names, tuple(contacts), len(paths), platform)
 
 
-@dataclass
-class Dataset:
-    """A capture's contact index under its label: all the reports read of it.
-
-    ``cli.load_bundle`` streams a bundle's logs into ``index``; records and
-    transactions held in lists are folded with ``index_contacts``.
-    ``platform`` is the declared platform of the capture; when omitted it
-    is the index's (the first record's, else the first transaction's).
-    """
-
-    label: str
-    index: ContactIndex
-    platform: Optional[Platform] = None
-
-    def __post_init__(self) -> None:
-        if self.platform is None:
-            self.platform = self.index.platform
-
-
-@dataclass(frozen=True)
-class DatasetSummary:
+class DatasetSummary(NamedTuple):
     app_count: int
     distinct_fqdn_count: int
     multi_app_fqdn_count: int
     distinct_uri_path_count: int
-
-    def to_json(self) -> dict:
-        return {
-            "app_count": self.app_count,
-            "distinct_fqdn_count": self.distinct_fqdn_count,
-            "multi_app_fqdn_count": self.multi_app_fqdn_count,
-            "distinct_uri_path_count": self.distinct_uri_path_count,
-        }
 
 
 def dataset_summary(ds: Dataset) -> DatasetSummary:
@@ -475,11 +438,10 @@ def dataset_summary(ds: Dataset) -> DatasetSummary:
     attribution do not contribute to app-level counts. URI paths are the
     path component (query string stripped) of transactions.
     """
-    index = ds.index
-    multi = sum(1 for apps in index.apps_per_name().values() if len(apps) >= 2)
+    multi = sum(1 for apps in ds.apps_per_name().values() if len(apps) >= 2)
     return DatasetSummary(
-        app_count=len(index.apps()),
-        distinct_fqdn_count=len(index.names),
+        app_count=len(ds.apps()),
+        distinct_fqdn_count=len(ds.names),
         multi_app_fqdn_count=multi,
-        distinct_uri_path_count=index.uri_path_count,
+        distinct_uri_path_count=ds.uri_path_count,
     )

@@ -34,7 +34,7 @@ class Capture(NamedTuple):
 
 def dataset(label, records=(), transactions=(), platform=None) -> Dataset:
     """The Dataset of records and transactions held in lists; ``dataset(*capture)``."""
-    return Dataset(label, index_contacts(records, transactions), platform)
+    return index_contacts(label, records, transactions, platform)
 
 
 @pytest.fixture(scope="session")

@@ -24,14 +24,14 @@ def assert_loads_as(capture, bundle_dir, drop_platform=False):
     summary = write_bundle(bundle_dir, *capture)
     expected = dataset(*capture)
     with open(os.path.join(bundle_dir, "summary.json"), encoding="utf-8") as fh:
-        assert json.load(fh) == summary.to_json()
+        assert json.load(fh) == summary._asdict()
     assert summary == dataset_summary(expected)
     if drop_platform:
         with open(os.path.join(bundle_dir, "meta.json"), "w", encoding="utf-8") as fh:
             json.dump({"label": capture.label}, fh)
     loaded = load_bundle(bundle_dir)
-    assert list(loaded.index.names.items()) == list(expected.index.names.items())
-    assert loaded.index.contacts == expected.index.contacts
+    assert list(loaded.names.items()) == list(expected.names.items())
+    assert loaded.contacts == expected.contacts
     assert dataset_summary(loaded) == dataset_summary(expected)
     assert loaded.platform == expected.platform
     assert loaded.label == capture.label
@@ -106,7 +106,7 @@ def _write_flows(bundle_dir, count, names=20):
 def _load_peak(bundle_dir):
     tracemalloc.start()
     try:
-        index = load_bundle(bundle_dir).index
+        index = load_bundle(bundle_dir)
         return tracemalloc.get_traced_memory()[1], index
     finally:
         tracemalloc.stop()

@@ -240,7 +240,7 @@ def late_developer_bundles():
 
 class TestFirstDeveloperRules:
     def test_index_keeps_both_per_app_rules_apart(self):
-        index = dataset(*late_developer_bundles()[0]).index
+        index = dataset(*late_developer_bundles()[0])
         assert index.first_developers()["Newsy"] is None
         assert index.first_developers(known_only=True)["Newsy"] == "Acme Media"
         assert "10.0.0.7" in index.names and "10.0.0.7" not in index.domain_names()

@@ -335,7 +335,7 @@ class TestRedact:
     def test_header_values_redacted(self):
         t = tx(headers=[("X-Serial", SERIAL)])
         out = redact(t, scan_transaction(t, VARIANTS))
-        assert out.header("X-Serial") == "REDACTED_SERIALNUMBER"
+        assert out.headers == (("X-Serial", "REDACTED_SERIALNUMBER"),)
 
     def test_redacted_uri_is_percent_decoded(self):
         t = tx(uri=f"/p?adid={ADID}&q=a%20b%2Fc")
@@ -437,41 +437,53 @@ class TestAttributeExposures:
                 "unlisted.com": frozenset({("App", "Dev Co"), ("Other", "Else Inc")}),
                 "roku.com": frozenset({("App", "Dev Co")}),
             },
+            name_to_esld={
+                "pii.listed.com": "listed.com",
+                "pii.unlisted.com": "unlisted.com",
+                "p.ads.roku.com": "roku.com",
+                "10.1.2.3": None,
+            },
         )
 
     def _lists(self):
         return [BlockList("PD", frozenset({"pii.listed.com"}))]
 
-    def test_blocked_fraction_half(self, rules):
+    def test_blocked_fraction_half(self):
         records = []
         for fqdn in ("pii.listed.com", "pii.unlisted.com"):
             records.extend(
                 scan_transaction(tx(uri=f"/r?adid={ADID}", fqdn=fqdn), VARIANTS)
             )
-        done = attribute_exposures(records, self._ctx(), self._lists(), rules)
+        done = attribute_exposures(records, self._ctx(), self._lists())
         assert len(done) == 2
         blocked = [r for r in done if r.blocked]
         assert len(blocked) == 1
         assert blocked[0].fqdn == "pii.listed.com"
         assert all(r.party is PartyLabel.THIRD_PARTY for r in done)
 
-    def test_platform_marker_party(self, rules):
+    def test_platform_marker_party(self):
         records = scan_transaction(
             tx(uri=f"/r?adid={ADID}", fqdn="p.ads.roku.com"), VARIANTS
         )
-        done = attribute_exposures(records, self._ctx(), self._lists(), rules)
+        done = attribute_exposures(records, self._ctx(), self._lists())
         assert done[0].party is PartyLabel.PLATFORM
         assert done[0].esld == "roku.com"
 
-    def test_ip_destination_stays_undetermined(self, rules):
+    def test_ip_destination_stays_undetermined(self):
         records = scan_transaction(tx(uri=f"/r?adid={ADID}", fqdn="10.1.2.3"), VARIANTS)
-        done = attribute_exposures(records, self._ctx(), self._lists(), rules)
+        done = attribute_exposures(records, self._ctx(), self._lists())
         assert done[0].party is PartyLabel.UNDETERMINED
         assert done[0].esld == "10.1.2.3"
 
-    def test_serialization_roundtrip_drops_matched_values(self, rules):
+    def test_name_outside_the_context_stays_undetermined(self):
+        records = scan_transaction(tx(uri=f"/r?adid={ADID}", fqdn="pii.elsewhere.com"), VARIANTS)
+        done = attribute_exposures(records, self._ctx(), self._lists())
+        assert done[0].party is PartyLabel.UNDETERMINED
+        assert done[0].esld == "pii.elsewhere.com"
+
+    def test_serialization_roundtrip_drops_matched_values(self):
         records = scan_transaction(tx(uri=f"/r?adid={ADID}", fqdn="pii.listed.com"), VARIANTS)
-        done = attribute_exposures(records, self._ctx(), self._lists(), rules)
+        done = attribute_exposures(records, self._ctx(), self._lists())
         obj = done[0].to_json()
         assert "matched_values" not in obj
         assert ADID not in str(obj)

@@ -64,7 +64,7 @@ class TestParseFlowLog:
     def test_ip_literal_accepted_and_flagged(self):
         line = '{"device_id":"d","platform":"Roku","fqdn":"10.0.0.1","start_time":0}'
         rec = parse_flow_log(line).records[0]
-        assert rec.is_ip
+        assert is_ip_literal(rec.fqdn)
 
     def test_negative_bytes_rejected(self):
         line = '{"device_id":"d","platform":"Roku","fqdn":"a.com","start_time":0,"bytes_up":-1}'
@@ -78,7 +78,7 @@ class TestParseHttpLog:
         result = parse_http_log(HTTP_LINE)
         assert len(result.transactions) == 1
         tx = result.transactions[0]
-        assert tx.header("host") == "aviary.amazon.com"
+        assert tx.headers == (("Host", "aviary.amazon.com"),)
         assert tx.was_encrypted
 
     def test_uri_without_leading_slash_is_malformed(self):
