@@ -54,7 +54,7 @@ class Outcome(NamedTuple):
     """respond()'s verdict on one query datagram and what to log about it."""
 
     response: Optional[bytes]  # the answer; None: forward the query upstream
-    verdict: str  # the log verdict: "blocked", "forwarded" or "upstream_error"
+    verdict: str  # the log verdict: "blocked", "forwarded", "malformed" or "upstream_error"
     qname: str = ""
     qtype: str = ""
     blocked_by: frozenset[str] = frozenset()
@@ -68,7 +68,7 @@ def respond(data: bytes, lists: Sequence[BlockList], cfg: SinkholeConfig) -> Out
         query = dnswire.parse_message(data)
         question = query.question
     except dnswire.WireError:
-        return Outcome(dnswire.build_error_response(data, dnswire.RCODE_FORMERR), "upstream_error")
+        return Outcome(dnswire.build_error_response(data, dnswire.RCODE_FORMERR), "malformed")
     qname = question.qname.rstrip(".").lower()
     qtype = dnswire.type_name(question.qtype)
     names = blocked_by(qname, lists, cfg.match_mode)
@@ -260,6 +260,7 @@ class Sinkhole:
             "total": 0,
             "blocked": 0,
             "forwarded": 0,
+            "malformed": 0,
             "upstream_errors": 0,
             "log_errors": 0,
             "shed": 0,

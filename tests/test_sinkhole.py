@@ -1,5 +1,6 @@
 import errno
 import json
+import logging
 import os
 import random
 import socket
@@ -802,6 +803,28 @@ class TestMalformedPackets:
             upstream.close()
 
 
+    def test_malformed_datagram_is_counted_apart_from_upstream_errors(self, tmp_path, caplog):
+        upstream = MockUpstream()
+        cfg = make_config(upstream.address, query_log_path=str(tmp_path / "log.jsonl"))
+        service = serve(cfg, [BLOCKED])
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                client.settimeout(2)
+                client.sendto(b"\x12\x34\x01\x00\x00", service.address)
+                data, _ = client.recvfrom(4096)
+            assert dnswire.parse_header(data).rcode == dnswire.RCODE_FORMERR
+            stats = service.stats()
+            assert (stats["total"], stats["malformed"], stats["upstream_errors"]) == (1, 1, 0)
+            with caplog.at_level(logging.INFO, logger="tvblock.sinkhole"):
+                service.dump_stats()  # what SIGUSR1 logs
+            assert '"malformed": 1, "upstream_errors": 0' in caplog.text
+        finally:
+            service.stop()
+            upstream.close()
+        assert [e["verdict"] for e in read_log(cfg.query_log_path)] == ["malformed"]
+        assert upstream.seen == []
+
+
 def port_is_free(port):
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
         try:
@@ -980,7 +1003,7 @@ class TestEchoedQuestion:
             service.stop()
             upstream.close()
         entries = read_log(cfg.query_log_path)
-        assert [(e["verdict"], e["qname"]) for e in entries] == [("upstream_error", "")]
+        assert [(e["verdict"], e["qname"]) for e in entries] == [("malformed", "")]
         assert upstream.seen == []
 
 
@@ -1040,7 +1063,7 @@ class TestRespondProperties:
             assert msg.question == dnswire.parse_message(data).question
             assert msg.header.rcode in (dnswire.RCODE_NOERROR, dnswire.RCODE_NXDOMAIN)
         else:
-            assert outcome.verdict == "upstream_error"
+            assert outcome.verdict == "malformed"
             assert dnswire.parse_header(response).rcode == dnswire.RCODE_FORMERR
 
     @settings(deadline=None)
