@@ -181,7 +181,7 @@ class HttpTransaction:
             method=_require_str(obj, "method"),
             uri=_require_str(obj, "uri"),
             headers=tuple(headers),
-            was_encrypted=bool(obj.get("was_encrypted", False)),
+            was_encrypted=_optional_bool(obj, "was_encrypted"),
             timestamp=_require_int(obj, "timestamp"),
             developer=_optional_str(obj, "developer"),
             body=_optional_str(obj, "body"),
@@ -254,6 +254,13 @@ def _optional_int(obj: dict, key: str, default: int) -> int:
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"field '{key}' must be an integer")
+    return value
+
+
+def _optional_bool(obj: dict, key: str) -> bool:
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"field '{key}' must be a boolean")
     return value
 
 

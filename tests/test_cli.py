@@ -94,6 +94,25 @@ class TestIngest:
         assert err.count("warning:") == 3
         assert (tmp_path / "b" / "flows.jsonl").exists()
 
+    def test_non_boolean_was_encrypted_is_a_malformed_line(self, tmp_path, capsys):
+        flows = tmp_path / "flows.jsonl"
+        flows.write_text('{"device_id":"d","platform":"Roku","fqdn":"x.com","start_time":0}\n')
+        tx = {"app_id": "a", "platform": "Roku", "fqdn": "x.com", "method": "GET", "uri": "/",
+              "timestamp": 0}
+        http = tmp_path / "http.jsonl"
+        http.write_text("".join(
+            json.dumps({**tx, **extra}) + "\n"
+            for extra in ({}, {"was_encrypted": "false"}, {"was_encrypted": True})
+        ))
+        out = tmp_path / "b"
+        code, _, err = run(
+            capsys, "ingest", "--flows", str(flows), "--http", str(http), "--out", str(out)
+        )
+        assert code == 1
+        assert err == "warning: http line 2: field 'was_encrypted' must be a boolean\n"
+        kept = [json.loads(line) for line in (out / "http.jsonl").read_text().splitlines()]
+        assert [t["was_encrypted"] for t in kept] == [False, True]
+
     def test_zero_records_exits_2(self, tmp_path, capsys):
         log = tmp_path / "flows.jsonl"
         log.write_text("junk\n")
