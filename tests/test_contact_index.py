@@ -7,6 +7,9 @@ pair. The generated corpora never tell these apart, so a hand-built pair of
 bundles does here, and a property runs small random bundles with IP
 literals, unattributed flows and late developers, against 2-4 random lists,
 through the CLI, in either match mode and with or without flow weighting.
+The Roku bundle is built by ``ingest`` from raw JSON lines whose names are
+spelled in drawn case, some with a trailing dot; the FireTV one by
+``write_bundle``.
 Each random transaction may carry the advertising ID, plain, upper-cased,
 percent-encoded or hashed, in its URI query or in a header, so pii_table.csv
 and the redacted log are checked too.
@@ -123,12 +126,46 @@ def suffix_lists(bundle, lists):
     }
 
 
+def spelled(name, spelling):
+    """A name as a raw log may spell it: (mask, dot) upper-cases the
+    characters whose mask bit is set and, with dot, adds a trailing dot."""
+    mask, dot = spelling
+    chars = (c.upper() if mask >> i & 1 else c for i, c in enumerate(name))
+    return "".join(chars) + ("." if dot else "")
+
+
+def ingest(work, bundle_dir, capture, spellings=()):
+    """Build a capture's bundle with ``ingest`` from its records and
+    transactions written as raw JSON lines, the i-th line's name spelled by
+    the i-th spelling (past those given, as it is)."""
+    lines = len(capture.records) + len(capture.transactions)
+    spelling = iter(list(spellings) + [(0, False)] * lines)
+    argv = ["ingest", "--label", capture.label, "--platform", capture.platform.name.lower()]
+    for flag, items in (("--flows", capture.records), ("--http", capture.transactions)):
+        path = os.path.join(work, f"{capture.label}-raw{flag[1:]}.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            for item in items:
+                obj = item.to_json()
+                fh.write(json.dumps({**obj, "fqdn": spelled(obj["fqdn"], next(spelling))}) + "\n")
+        argv += [flag, path]
+    assert main(argv + ["--out", bundle_dir]) == 0
+
+
 def run_pipeline(
-    work, datasets, blocked, max_bucket=8, pii=False, match_mode="exact", flow_weighted=False
+    work,
+    datasets,
+    blocked,
+    max_bucket=8,
+    pii=False,
+    match_mode="exact",
+    flow_weighted=False,
+    spellings=(),
 ):
-    """Write the bundles, run scan-pii (optional), evaluate and classify, and
-    return the CLI's tables next to the reference's. ``blocked`` is the set
-    of names one hosts file, list L, holds, or a mapping for write_lists."""
+    """Build the bundles, run scan-pii (optional), evaluate and classify, and
+    return the CLI's tables next to the reference's. The first bundle is
+    built by ingest from raw lines spelled by ``spellings``, the others by
+    write_bundle. ``blocked`` is the set of names one hosts file, list L,
+    holds, or a mapping for write_lists."""
     if isinstance(blocked, (set, frozenset)):
         blocked = {"L": [(blocked, True)]}
     list_paths = write_lists(work, blocked)
@@ -154,7 +191,10 @@ def run_pipeline(
     bundle_dirs = []
     for ds in datasets:
         bundle_dir = os.path.join(work, ds.label)
-        write_bundle(bundle_dir, *ds)
+        if bundle_dirs:
+            write_bundle(bundle_dir, *ds)
+        else:
+            ingest(work, bundle_dir, ds, spellings)
         bundle_dirs.append(bundle_dir)
         if pii:
             assert main(["scan-pii", "--bundle", bundle_dir, "--config", config]) == 0
@@ -302,6 +342,8 @@ PLANTED = {
     "sha1": hashlib.sha1(ADID.encode()).hexdigest(),
 }
 plant = st.tuples(st.sampled_from(list(PLANTED)), st.booleans())
+# How a raw log line spells its name: see spelled().
+spelling = st.tuples(st.integers(0, 2**24 - 1), st.booleans())
 
 
 def planted_http(label, name, app, dev, ts, planted=(None, False)):
@@ -336,6 +378,7 @@ class TestAgainstReference:
         roku_flows=st.lists(contact, max_size=12),
         roku_txs=st.lists(contact, max_size=4),
         roku_plants=st.lists(plant, min_size=4, max_size=4),
+        roku_spellings=st.lists(spelling, max_size=17),
         firetv_flows=st.lists(contact, max_size=12),
         lists=LISTS,
         max_bucket=st.integers(min_value=1, max_value=4),
@@ -348,6 +391,7 @@ class TestAgainstReference:
         roku_flows,
         roku_txs,
         roku_plants,
+        roku_spellings,
         firetv_flows,
         lists,
         max_bucket,
@@ -361,7 +405,7 @@ class TestAgainstReference:
         with tempfile.TemporaryDirectory() as work:
             got, want = run_pipeline(
                 work, datasets, lists, max_bucket, pii=True, match_mode=match_mode,
-                flow_weighted=flow_weighted,
+                flow_weighted=flow_weighted, spellings=roku_spellings,
             )
         capsys.readouterr()
         assert got == want
