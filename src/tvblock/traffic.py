@@ -358,14 +358,15 @@ class Dataset:
       pair (``cli.cmd_classify``).
 
     ``uri_path_count`` is the number of distinct transaction URI paths
-    (query string stripped). ``index_contacts`` is the one constructor.
+    (query string stripped). ``index_contacts``, the one constructor,
+    settles ``platform``.
     """
 
     label: str
     names: dict[str, tuple[bool, int]]
     contacts: tuple[Contact, ...]
-    uri_path_count: int = 0
-    platform: Optional[Platform] = None
+    uri_path_count: int
+    platform: Optional[Platform]
 
     @property
     def platform_name(self) -> Optional[str]:

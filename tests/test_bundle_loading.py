@@ -1,9 +1,9 @@
 """The streamed bundle loader against the capture it was written from.
 
-``load_bundle`` folds each parsed line straight into the contact index and
-keeps no record, so it must give the same index (same order: the three
-"first developer" rules hang on it), summary and platform as a Dataset
-folded from the same records and transactions held in lists.
+``load_bundle`` folds each parsed line straight into its Dataset and keeps
+no record, so it must give the same names and contacts (same order: the
+three "first developer" rules hang on it), summary and platform as the
+Dataset folded from the same records and transactions held in lists.
 """
 
 import json
@@ -106,8 +106,8 @@ def _write_flows(bundle_dir, count, names=20):
 def _load_peak(bundle_dir):
     tracemalloc.start()
     try:
-        index = load_bundle(bundle_dir)
-        return tracemalloc.get_traced_memory()[1], index
+        dataset = load_bundle(bundle_dir)
+        return tracemalloc.get_traced_memory()[1], dataset
     finally:
         tracemalloc.stop()
 
@@ -118,7 +118,7 @@ class TestMemory:
         _write_flows(small, 2_000)
         _write_flows(large, 20_000)
         load_bundle(small)  # first-call allocations (imports, caches) off the books
-        small_peak, small_index = _load_peak(small)
-        large_peak, large_index = _load_peak(large)
-        assert small_index.contacts == large_index.contacts
+        small_peak, small_dataset = _load_peak(small)
+        large_peak, large_dataset = _load_peak(large)
+        assert small_dataset.contacts == large_dataset.contacts
         assert large_peak < 1.5 * small_peak, (small_peak, large_peak)

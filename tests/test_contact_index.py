@@ -1,4 +1,4 @@
-"""The per-bundle contact index against the brute-force reference pipeline.
+"""Each bundle's Dataset against the brute-force reference pipeline.
 
 Three reports each take a "first developer" per app, by different rules:
 overlap.csv the first developer seen (None included), PII attribution the
