@@ -19,6 +19,7 @@ their own; they are brute-forced here from the reference's match rules.
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -138,15 +139,15 @@ def ingest(work, bundle_dir, capture, spellings=()):
     """Build a capture's bundle with ``ingest`` from its records and
     transactions written as raw JSON lines, the i-th line's name spelled by
     the i-th spelling (past those given, as it is)."""
-    lines = len(capture.records) + len(capture.transactions)
-    spelling = iter(list(spellings) + [(0, False)] * lines)
+    line_spellings = itertools.chain(spellings, itertools.repeat((0, False)))
     argv = ["ingest", "--label", capture.label, "--platform", capture.platform.name.lower()]
     for flag, items in (("--flows", capture.records), ("--http", capture.transactions)):
         path = os.path.join(work, f"{capture.label}-raw{flag[1:]}.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
             for item in items:
                 obj = item.to_json()
-                fh.write(json.dumps({**obj, "fqdn": spelled(obj["fqdn"], next(spelling))}) + "\n")
+                obj["fqdn"] = spelled(obj["fqdn"], next(line_spellings))
+                fh.write(json.dumps(obj) + "\n")
         argv += [flag, path]
     assert main(argv + ["--out", bundle_dir]) == 0
 

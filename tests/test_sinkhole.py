@@ -802,7 +802,6 @@ class TestMalformedPackets:
             service.stop()
             upstream.close()
 
-
     def test_malformed_datagram_is_counted_apart_from_upstream_errors(self, tmp_path, caplog):
         upstream = MockUpstream()
         cfg = make_config(upstream.address, query_log_path=str(tmp_path / "log.jsonl"))
