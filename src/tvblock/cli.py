@@ -19,7 +19,7 @@ import os
 import signal
 import sys
 import time
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import __version__
 from .blocklists import MATCH_MODES, BlockList, blocked_by, build_list
@@ -49,34 +49,61 @@ class CliError(Exception):
 def write_bundle(
     out_dir: str,
     label: str,
-    records: Sequence[FlowRecord],
-    transactions: Sequence[HttpTransaction],
+    records: Iterable[FlowRecord],
+    transactions: Iterable[HttpTransaction],
     platform: Optional[Platform] = None,
 ) -> DatasetSummary:
     """Write a capture as a bundle and return the summary in its summary.json.
 
-    The records and transactions go to flows.jsonl and http.jsonl, one
-    compact JSON object a line, and are then folded into the dataset that
-    summary.json counts. meta.json holds the label and the dataset's
-    platform.
+    Each record and transaction goes to flows.jsonl or http.jsonl, one
+    compact JSON object a line, as it is folded into the dataset that
+    summary.json counts, so streams are written without being held.
+    meta.json holds the label and the dataset's platform.
+
+    The files are written to a new directory beside ``out_dir`` and moved
+    in only once all four are complete, so a stream that raises leaves no
+    ``out_dir`` behind, or an existing bundle as it was. Other files in an
+    existing ``out_dir`` are kept.
     """
     from .traffic import dataset_summary, index_contacts
 
-    os.makedirs(out_dir, exist_ok=True)
-    for name, items in (("flows.jsonl", records), ("http.jsonl", transactions)):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            for item in items:
-                fh.write(json.dumps(item.to_json(), separators=(",", ":")) + "\n")
-    dataset = index_contacts(label, records, transactions, platform)
-    summary = dataset_summary(dataset)
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary._asdict(), fh, indent=2)
-        fh.write("\n")
-    meta = {"label": label, "platform": dataset.platform_name}
-    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    # The new directory is in out_dir's parent, or in its nearest existing
+    # ancestor while the parent is yet to be made: on out_dir's file system.
+    path = os.path.abspath(out_dir)
+    base = os.path.dirname(path)
+    while not os.path.isdir(base):
+        base = os.path.dirname(base)
+    work = os.path.join(base, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+    os.mkdir(work)
+    try:
+        with open(os.path.join(work, "flows.jsonl"), "w", encoding="utf-8") as flows_fh, \
+                open(os.path.join(work, "http.jsonl"), "w", encoding="utf-8") as http_fh:
+            dataset = index_contacts(
+                label, _written(flows_fh, records), _written(http_fh, transactions), platform
+            )
+        summary = dataset_summary(dataset)
+        with open(os.path.join(work, "summary.json"), "w", encoding="utf-8") as fh:
+            json.dump(summary._asdict(), fh, indent=2)
+            fh.write("\n")
+        meta = {"label": label, "platform": dataset.platform_name}
+        with open(os.path.join(work, "meta.json"), "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2)
+            fh.write("\n")
+        os.makedirs(out_dir, exist_ok=True)
+        for name in os.listdir(work):
+            os.replace(os.path.join(work, name), os.path.join(out_dir, name))
+    finally:
+        for name in os.listdir(work):
+            os.remove(os.path.join(work, name))
+        os.rmdir(work)
     return summary
+
+
+def _written(fh, items):
+    """Yield each of ``items`` after writing it to ``fh`` as one JSON line."""
+    for item in items:
+        fh.write(json.dumps(item.to_json(), separators=(",", ":")) + "\n")
+        yield item
 
 
 def _read_bundle_log(path: str, build, what: str):
@@ -248,42 +275,51 @@ def _build_ctx(dataset: Dataset, rules, cfg: GlobalConfig, processes: frozenset[
 # -- ingest ---------------------------------------------------------------
 
 
+def _read_input_log(path: str, build, what: str, errors: list, required: bool):
+    """Yield the items of one of ingest's input logs; skipped lines go to ``errors``.
+
+    A log with content but no parsable line is a CliError when ``required``,
+    and otherwise yields nothing.
+    """
+    from .traffic import LogParseError, iter_jsonl
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from iter_jsonl(fh, build, what, errors)
+    except LogParseError as exc:
+        if required:
+            raise CliError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_ingest(args) -> int:
-    from .traffic import LogParseError, Platform, parse_flow_log, parse_http_log
+    from .traffic import FlowRecord, HttpTransaction, Platform
 
     cfg = _load_global_config(args)
     for path in [args.flows, args.http]:
         if path and not os.path.exists(path):
             raise CliError(f"input file not found: {path}")
 
-    path = args.flows
-    try:
-        with open(path, encoding="utf-8") as fh:
-            flows = parse_flow_log(fh)
-        transactions, http_errors = [], []
-        if args.http:
-            path = args.http
-            with open(path, encoding="utf-8") as fh:
-                try:
-                    parsed = parse_http_log(fh)
-                    transactions, http_errors = parsed.transactions, parsed.errors
-                except LogParseError as exc:  # nothing parsed: warn, keep no transaction
-                    http_errors = exc.errors
-    except LogParseError as exc:
-        raise CliError(str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path} is not UTF-8 text: {exc}") from exc
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    for what, errors in (("flows", flows.errors), ("http", http_errors)):
-        for err in errors:
-            print(f"warning: {what} line {err.line_no}: {err.reason}", file=sys.stderr)
-
+    flow_errors, http_errors = [], []
+    records = _read_input_log(
+        args.flows, FlowRecord.from_json, "flow records", flow_errors, required=True
+    )
+    transactions = ()
+    if args.http:  # a log with no parsable line warns for each and adds no transaction
+        transactions = _read_input_log(
+            args.http, HttpTransaction.from_json, "transactions", http_errors, required=False
+        )
     platform = Platform.parse(args.platform) if args.platform else None
     label = args.label or os.path.basename(os.path.normpath(cfg.output_dir))
-    summary = write_bundle(cfg.output_dir, label, flows.records, transactions, platform)
+    summary = write_bundle(cfg.output_dir, label, records, transactions, platform)
+    for what, errors in (("flows", flow_errors), ("http", http_errors)):
+        for err in errors:
+            print(f"warning: {what} line {err.line_no}: {err.reason}", file=sys.stderr)
     print(json.dumps({"label": label, **summary._asdict()}, indent=2))
-    return EXIT_PARTIAL if flows.errors or http_errors else EXIT_OK
+    return EXIT_PARTIAL if flow_errors or http_errors else EXIT_OK
 
 
 # -- evaluate ---------------------------------------------------------------

@@ -173,7 +173,9 @@ class HttpTransaction:
         for pair in raw_headers:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError("headers must be an array of [name, value] pairs")
-            headers.append((str(pair[0]), str(pair[1])))
+            if not isinstance(pair[0], str) or not isinstance(pair[1], str):
+                raise ValueError("field 'headers' must hold a string name and value in each pair")
+            headers.append((pair[0], pair[1]))
         return cls(
             app_id=_require_str(obj, "app_id"),
             platform=Platform.parse(_require_str(obj, "platform")),
@@ -238,9 +240,9 @@ def _require_str(obj: dict, key: str) -> str:
 
 def _optional_str(obj: dict, key: str) -> Optional[str]:
     value = obj.get(key)
-    if value is None:
-        return None
-    return str(value)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"field '{key}' must be a string or null")
+    return value
 
 
 def _require_int(obj: dict, key: str) -> int:

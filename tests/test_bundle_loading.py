@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, Capture, dataset
 from test_contact_index import contact, flow, http, random_dataset
-from tvblock.cli import load_bundle, write_bundle
+from tvblock.cli import load_bundle, main, write_bundle
 from tvblock.traffic import Platform, dataset_summary, parse_flow_log, parse_http_log
 
 
@@ -121,4 +121,24 @@ class TestMemory:
         small_peak, small_dataset = _load_peak(small)
         large_peak, large_dataset = _load_peak(large)
         assert small_dataset.contacts == large_dataset.contacts
+        assert large_peak < 1.5 * small_peak, (small_peak, large_peak)
+
+    def test_ingest_peak_does_not_grow_with_flow_count(self, tmp_path, capsys):
+        """ingest writes each parsed line to the bundle and keeps none."""
+        small, large = str(tmp_path / "small"), str(tmp_path / "large")
+        _write_flows(small, 2_000)
+        _write_flows(large, 20_000)
+
+        def ingest_peak(src, out):
+            tracemalloc.start()
+            try:
+                assert main(["ingest", "--flows", os.path.join(src, "flows.jsonl"), "--out", out]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ingest_peak(small, str(tmp_path / "warm"))  # first-call allocations off the books
+        small_peak = ingest_peak(small, str(tmp_path / "small-out"))
+        large_peak = ingest_peak(large, str(tmp_path / "large-out"))
+        capsys.readouterr()
         assert large_peak < 1.5 * small_peak, (small_peak, large_peak)

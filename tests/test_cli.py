@@ -113,6 +113,45 @@ class TestIngest:
         kept = [json.loads(line) for line in (out / "http.jsonl").read_text().splitlines()]
         assert [t["was_encrypted"] for t in kept] == [False, True]
 
+    FLOW = {"device_id": "d", "platform": "Roku", "fqdn": "x.com", "start_time": 0}
+    TX = {"app_id": "a", "platform": "Roku", "fqdn": "x.com", "method": "GET", "uri": "/",
+          "timestamp": 0}
+    HEADERS_REASON = "field 'headers' must hold a string name and value in each pair"
+
+    @pytest.mark.parametrize("log, extra, reason", [
+        pytest.param("flows", {"app_id": 7}, "field 'app_id' must be a string or null",
+                     id="flow-app_id"),
+        pytest.param("flows", {"developer": False}, "field 'developer' must be a string or null",
+                     id="flow-developer"),
+        pytest.param("flows", {"remote_ip": [1]}, "field 'remote_ip' must be a string or null",
+                     id="flow-remote_ip"),
+        pytest.param("http", {"developer": False}, "field 'developer' must be a string or null",
+                     id="http-developer"),
+        pytest.param("http", {"body": {"k": 1}}, "field 'body' must be a string or null",
+                     id="http-body"),
+        pytest.param("http", {"headers": [["X-Id", None]]}, HEADERS_REASON,
+                     id="http-header-value"),
+        pytest.param("http", {"headers": [[1, "v"]]}, HEADERS_REASON, id="http-header-name"),
+    ])
+    def test_non_string_optional_field_is_a_malformed_line(
+        self, tmp_path, capsys, log, extra, reason
+    ):
+        """A present value that is not a string or null is not turned into text."""
+        base = self.FLOW if log == "flows" else self.TX
+        lines = {"flows": [self.FLOW], "http": [self.TX]}
+        lines[log] = [base, {**base, **extra}, {**base, "developer": None}]
+        for name, objs in lines.items():
+            (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(o) + "\n" for o in objs))
+        out = tmp_path / "b"
+        code, _, err = run(
+            capsys, "ingest", "--flows", str(tmp_path / "flows.jsonl"),
+            "--http", str(tmp_path / "http.jsonl"), "--out", str(out),
+        )
+        assert code == 1
+        assert err == f"warning: {log} line 2: {reason}\n"
+        kept = [json.loads(line) for line in (out / f"{log}.jsonl").read_text().splitlines()]
+        assert len(kept) == 2 and "developer" not in kept[1]
+
     def test_zero_records_exits_2(self, tmp_path, capsys):
         log = tmp_path / "flows.jsonl"
         log.write_text("junk\n")
@@ -120,6 +159,51 @@ class TestIngest:
             capsys, "ingest", "--flows", str(log), "--out", str(tmp_path / "b")
         )
         assert code == 2
+
+
+class TestIngestWritesBesideOut:
+    """ingest writes its bundle beside --out and moves it in at the end, so a
+    failed ingest leaves no directory and no existing bundle changed."""
+
+    def _ingest(self, capsys, flows, out):
+        return run(
+            capsys, "ingest", "--flows", str(flows),
+            "--http", os.path.join(CORPUS_DIR, "roku_http.jsonl"), "--out", str(out),
+        )
+
+    def test_junk_flows_leave_an_existing_bundle_untouched(self, roku_bundle, tmp_path, capsys):
+        (roku_bundle / "exposures.jsonl").write_text('{"kept": true}\n')
+        before = {p.name: p.read_bytes() for p in roku_bundle.iterdir()}
+        junk = tmp_path / "junk.jsonl"
+        junk.write_text("junk\n")
+        code, stdout, err = self._ingest(capsys, junk, roku_bundle)
+        assert (code, stdout, err) == (2, "", "error: no flow records parsed from input\n")
+        assert {p.name: p.read_bytes() for p in roku_bundle.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["junk.jsonl", "roku"]
+
+    def test_bad_byte_after_good_lines_leaves_nothing(self, tmp_path, capsys):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        flows = inputs / "flows.jsonl"
+        line = json.dumps(TestIngest.FLOW) + "\n"
+        flows.write_bytes((line * 1000).encode() + b"\xff\n")
+        parent = tmp_path / "parent"
+        parent.mkdir()
+        code, stdout, err = self._ingest(capsys, flows, parent / "b")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: {flows} is not UTF-8 text: ")
+        assert list(parent.iterdir()) == []
+
+    def test_reingest_keeps_other_files(self, roku_bundle, tmp_path, capsys):
+        (roku_bundle / "exposures.jsonl").write_text('{"kept": true}\n')
+        flows = tmp_path / "flows.jsonl"
+        flows.write_text(json.dumps(TestIngest.FLOW) + "\n")
+        code, _, _ = self._ingest(capsys, flows, roku_bundle)
+        assert code == 0
+        assert (roku_bundle / "exposures.jsonl").read_text() == '{"kept": true}\n'
+        assert len((roku_bundle / "flows.jsonl").read_text().splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["flows.jsonl", "roku"]
 
 
 class TestEvaluate:

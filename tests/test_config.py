@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tvblock
 
@@ -83,6 +85,66 @@ def test_evaluate_loads_no_hashlib(tmp_path):
     code = f"from tvblock import cli\nassert cli.main({argv!r}) == 0"
     assert _loaded_after(code, ["hashlib"]) == []
     assert (tmp_path / "report" / "pii_table.csv").exists()
+
+
+def _has_builtin_digests() -> bool:
+    try:
+        import _md5, _sha1  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_builtin_digests(), reason="this build has no _md5 and _sha1")
+def test_scan_pii_loads_no_hashlib(tmp_path, capsys):
+    """scan-pii hashes with the builtin digest modules, so it maps no OpenSSL."""
+    from tvblock import cli
+
+    config = os.path.join(DATA, "corpus_config.json")
+    bundle = str(tmp_path / "roku")
+    flows, http = (os.path.join(DATA, "corpus", f"roku_{log}.jsonl") for log in ("flows", "http"))
+    assert cli.main(["ingest", "--config", config, "--flows", flows, "--http", http, "--out", bundle]) == 0
+    capsys.readouterr()
+    argv = ["scan-pii", "--config", config, "--bundle", bundle]
+    code = f"from tvblock import cli\nassert cli.main({argv!r}) == 0"
+    assert _loaded_after(code, ["_hashlib", "hashlib"]) == []
+    assert os.path.getsize(tmp_path / "roku" / "exposures.jsonl") > 0
+
+
+_FALLBACK_NEEDLES = """
+import json, sys
+sys.modules["_md5"] = None  # as on a build without the builtin digest modules
+from tvblock import pii
+needles = [[v.needle for v in pii.build_variants(pii.PiiSpec(pii.PiiKind.ACCOUNT_NAME, (text,)))]
+           for text in json.loads(sys.argv[1])]
+print(json.dumps({"hashlib": "hashlib" in sys.modules, "needles": needles}))
+"""
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.text(min_size=1).filter(str.strip), min_size=1, max_size=8))
+def test_digest_needles_equal_hashlib_on_both_import_paths(texts):
+    """Each MD5 and SHA1 needle is hashlib's digest of a plain needle's UTF-8
+    bytes, from the builtin modules and from the hashlib fallback alike."""
+    import hashlib
+
+    from tvblock import pii
+
+    builtin = [pii.build_variants(pii.PiiSpec(pii.PiiKind.ACCOUNT_NAME, (t,))) for t in texts]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tvblock.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _FALLBACK_NEEDLES, json.dumps(texts)],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    fallback = json.loads(out)
+    assert fallback["hashlib"]
+    for variants, needles in zip(builtin, fallback["needles"]):
+        plain = [v.needle for v in variants if v.encoding is pii.Encoding.PLAIN]
+        digests = [v.needle for v in variants if v.encoding is not pii.Encoding.PLAIN]
+        assert sorted(digests) == sorted(
+            h(p.encode("utf-8")).hexdigest() for p in plain for h in (hashlib.md5, hashlib.sha1)
+        )
+        assert needles == [v.needle for v in variants]
 
 
 @pytest.mark.parametrize("section", [{"blocked_ttl": 2**32}, {"upstream_timeout_ms": 0}])
