@@ -168,14 +168,53 @@ def test_exposure_blocked_by_of_another_type_names_the_line(corpus, tmp_path, bl
     [
         ({"max_bucket": "8"}, "max_bucket must be int, got str"),
         ({"max_bucket": True}, "max_bucket must be int, got bool"),
+        ({"max_bucket": None}, "max_bucket must be int, got NoneType"),
         ({"lists": ["a"]}, "lists must be dict[str, list[str]], got list"),
+        ({"lists": {"PD": "pd.txt"}}, "lists must be dict[str, list[str]], got dict"),
         ({"keywords": "ads"}, "keywords must be Optional[list[str]], got str"),
+        ({"keywords": [1]}, "keywords must be Optional[list[str]], got list"),
         ({"stop_tokens": "amazon"}, "stop_tokens must be Optional[list[str]], got str"),
         ({"flow_weighted": "no"}, "flow_weighted must be bool, got str"),
+        ({"psl_path": 1}, "psl_path must be Optional[str], got int"),
+        ({"psl_icann_only": 0}, "psl_icann_only must be bool, got int"),
+        ({"match_mode": 1}, "match_mode must be Literal['exact', 'suffix'], got int"),
+        ({"platform_markers": {"Roku": "roku"}},
+         "platform_markers must be dict[str, list[str]], got dict"),
+        ({"platform_markers": []}, "platform_markers must be dict[str, list[str]], got list"),
+        ({"pii_spec_path": False}, "pii_spec_path must be Optional[str], got bool"),
+        ({"org_esld_path": 1.5}, "org_esld_path must be Optional[str], got float"),
+        ({"org_parent_path": []}, "org_parent_path must be Optional[str], got list"),
+        ({"ats_labels_path": {}}, "ats_labels_path must be Optional[str], got dict"),
+        ({"platform_processes_path": 2}, "platform_processes_path must be Optional[str], got int"),
+        ({"output_dir": None}, "output_dir must be str, got NoneType"),
+        ({"sinkhole": "on"}, "sinkhole section must be an object"),
+        ({"sinkhole": {"listen_address": 53}}, "sinkhole.listen_address must be str, got int"),
+        ({"sinkhole": {"upstream_resolver": None}},
+         "sinkhole.upstream_resolver must be str, got NoneType"),
+        ({"sinkhole": {"active_lists": "PD"}},
+         "sinkhole.active_lists must be tuple[str, ...], got str"),
+        ({"sinkhole": {"active_lists": ["PD", 1]}},
+         "sinkhole.active_lists must be tuple[str, ...], got list"),
+        ({"sinkhole": {"blocking_mode": 0}}, "sinkhole.blocking_mode must be str, got int"),
         ({"sinkhole": {"blocked_ttl": "2"}}, "sinkhole.blocked_ttl must be int, got str"),
+        ({"sinkhole": {"blocked_ttl": 2.0}}, "sinkhole.blocked_ttl must be int, got float"),
+        ({"sinkhole": {"upstream_timeout_ms": True}},
+         "sinkhole.upstream_timeout_ms must be int, got bool"),
+        ({"sinkhole": {"query_log_path": 1}}, "sinkhole.query_log_path must be Optional[str], got int"),
+        ({"sinkhole": {"stats_address": []}}, "sinkhole.stats_address must be Optional[str], got list"),
+        ({"bogus": 1, "max_buckets": 8}, "unknown config keys: ['bogus', 'max_buckets']"),
+        ({"sinkhole": {"listen": "x"}}, "unknown sinkhole config keys: ['listen']"),
+        ({"sinkhole": {"match_mode": "suffix"}}, "unknown sinkhole config keys: ['match_mode']"),
     ],
-    ids=["max_bucket-str", "max_bucket-bool", "lists", "keywords", "stop_tokens",
-         "flow_weighted", "sinkhole"],
+    ids=["max_bucket-str", "max_bucket-bool", "max_bucket-null", "lists", "lists-paths",
+         "keywords", "keywords-item", "stop_tokens", "flow_weighted", "psl_path",
+         "psl_icann_only", "match_mode", "platform_markers", "platform_markers-list",
+         "pii_spec_path", "org_esld_path", "org_parent_path", "ats_labels_path",
+         "platform_processes_path", "output_dir", "sinkhole-section", "sinkhole-listen_address",
+         "sinkhole-upstream_resolver", "sinkhole-active_lists", "sinkhole-active_lists-item",
+         "sinkhole-blocking_mode", "sinkhole", "sinkhole-blocked_ttl-float",
+         "sinkhole-upstream_timeout_ms", "sinkhole-query_log_path", "sinkhole-stats_address",
+         "unknown", "sinkhole-unknown", "sinkhole-match_mode"],
 )
 def test_config_value_of_another_json_type_exits_2(corpus, tmp_path, overrides, message):
     config = _write_config(tmp_path / "cfg.json", **overrides)
