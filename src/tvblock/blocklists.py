@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 from .text import is_ip_literal, normalize_fqdn
 
@@ -66,15 +65,13 @@ class EmptyList(BlocklistError):
     """A list was requested from zero source files."""
 
 
-@dataclass(frozen=True)
-class HostsLineDiagnostic:
+class HostsLineDiagnostic(NamedTuple):
     line_no: int
     token: str
     reason: str
 
 
-@dataclass(frozen=True)
-class BlockList:
+class BlockList(NamedTuple):
     """A named, immutable set of normalized blockable domains."""
 
     name: str

@@ -639,6 +639,9 @@ def cmd_serve(args) -> int:
     try:
         sink_cfg.validate()
         service = sinkhole.serve(sink_cfg, lists)
+        # The SIGUSR1 stats dump and the reload's "active lists now" line
+        # reach stderr; the sinkhole logs nothing per query.
+        logging.getLogger(sinkhole.__name__).setLevel(logging.INFO)
         signal.signal(signal.SIGHUP, reload_lists)
         signal.signal(signal.SIGUSR1, lambda s, f: service.dump_stats())
         signal.signal(signal.SIGTERM, signal.default_int_handler)

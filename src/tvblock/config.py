@@ -1,22 +1,91 @@
 """Global configuration: one JSON file, every field overridable by a flag.
 
-The file maps directly onto GlobalConfig fields; unknown keys are rejected
-to catch typos, and so is a value whose JSON type is not the one its field
-declares. Paths are resolved relative to the config file's directory
-so a config can travel with its data.
+The file's keys are the ones GLOBAL_KEYS and SINKHOLE_KEYS state, each with
+its JSON type and its default. Unknown keys are rejected to catch typos, and
+so is a value whose JSON type is not its key's. Paths are resolved relative
+to the config file's directory so a config can travel with its data.
 """
 
 from __future__ import annotations
 
 import os
-import typing
-from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .blocklists import MATCH_MODES, MatchMode
+from .blocklists import MATCH_MODES
 from .text import decode_json
 
 BLOCKING_MODES = ("null", "nxdomain")
+
+
+def _is(kind: type):
+    return lambda value: type(value) is kind  # so a bool is no int
+
+
+def _or_null(test):
+    return lambda value: value is None or test(value)
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(type(item) is str for item in value)
+
+
+def _lists_by_name(value) -> bool:
+    return isinstance(value, dict) and all(_strings(paths) for paths in value.values())
+
+
+_STR = ("str", _is(str))
+_OPTIONAL_STR = ("Optional[str]", _or_null(_is(str)))
+_OPTIONAL_STRINGS = ("Optional[list[str]]", _or_null(_strings))
+_INT = ("int", _is(int))
+_BOOL = ("bool", _is(bool))
+_MATCH_MODE = ("Literal['exact', 'suffix']", _is(str))  # the value is validate()'s to check
+_LISTS_BY_NAME = ("dict[str, list[str]]", _lists_by_name)
+
+# key: (its type as an error message names it, the test of a JSON value, its
+# default). A callable default is called for each new config, so no two
+# share a dict.
+GLOBAL_KEYS = {
+    "psl_path": (*_OPTIONAL_STR, None),
+    "psl_icann_only": (*_BOOL, False),
+    "lists": (*_LISTS_BY_NAME, dict),
+    "match_mode": (*_MATCH_MODE, "exact"),
+    "platform_markers": (*_LISTS_BY_NAME, dict),
+    "stop_tokens": (*_OPTIONAL_STRINGS, None),
+    "pii_spec_path": (*_OPTIONAL_STR, None),
+    "org_esld_path": (*_OPTIONAL_STR, None),
+    "org_parent_path": (*_OPTIONAL_STR, None),
+    "ats_labels_path": (*_OPTIONAL_STR, None),
+    "platform_processes_path": (*_OPTIONAL_STR, None),
+    "keywords": (*_OPTIONAL_STRINGS, None),
+    "max_bucket": (*_INT, 8),
+    "flow_weighted": (*_BOOL, False),
+    "output_dir": (*_STR, "out"),
+}
+# The ``sinkhole`` section. Its match_mode is the top-level one, which
+# cmd_serve copies in, so a file may not set it here.
+SINKHOLE_KEYS = {
+    "listen_address": (*_STR, "0.0.0.0:53"),
+    "upstream_resolver": (*_STR, "1.1.1.1:53"),
+    "active_lists": ("tuple[str, ...]", _strings, ()),  # a JSON array, kept as a tuple
+    "match_mode": GLOBAL_KEYS["match_mode"],
+    "blocking_mode": (*_STR, "null"),
+    "blocked_ttl": (*_INT, 2),
+    "upstream_timeout_ms": (*_INT, 2000),
+    "query_log_path": (*_OPTIONAL_STR, None),
+    "stats_address": (*_OPTIONAL_STR, None),
+}
+
+
+def _set_keys(config, table: dict, values: dict) -> None:
+    """Set each of ``table``'s keys on ``config``: its value, else its default."""
+    unexpected = set(values) - set(table)
+    if unexpected:
+        raise TypeError(f"unexpected config keys: {sorted(unexpected)}")
+    for key, (_, _, default) in table.items():
+        if key in values:
+            setattr(config, key, values[key])
+        else:
+            setattr(config, key, default() if callable(default) else default)
 
 
 def _check_match_mode(mode: str) -> None:
@@ -35,20 +104,14 @@ def parse_hostport(value: str, what: str) -> tuple[str, int]:
         raise ValueError(f"{what} has a non-numeric port: {value!r}") from exc
 
 
-@dataclass
 class SinkholeConfig:
     """The ``sinkhole`` section of the config. It lives here, not in
     ``sinkhole``, so loading a config imports no socket or thread code."""
 
-    listen_address: str = "0.0.0.0:53"
-    upstream_resolver: str = "1.1.1.1:53"
-    active_lists: tuple[str, ...] = ()
-    match_mode: MatchMode = "exact"
-    blocking_mode: str = "null"
-    blocked_ttl: int = 2
-    upstream_timeout_ms: int = 2000
-    query_log_path: Optional[str] = None
-    stats_address: Optional[str] = None
+    __slots__ = tuple(SINKHOLE_KEYS)
+
+    def __init__(self, **values) -> None:
+        _set_keys(self, SINKHOLE_KEYS, values)
 
     def validate(self) -> None:
         if not 0 <= self.blocked_ttl <= 2**31 - 1:  # RFC 2181 section 8
@@ -74,24 +137,12 @@ class SinkholeConfig:
         return parse_hostport(self.upstream_resolver, "upstream_resolver")
 
 
-@dataclass
 class GlobalConfig:
-    psl_path: Optional[str] = None
-    psl_icann_only: bool = False
-    lists: dict[str, list[str]] = field(default_factory=dict)
-    match_mode: MatchMode = "exact"
-    platform_markers: dict[str, list[str]] = field(default_factory=dict)
-    stop_tokens: Optional[list[str]] = None
-    pii_spec_path: Optional[str] = None
-    org_esld_path: Optional[str] = None
-    org_parent_path: Optional[str] = None
-    ats_labels_path: Optional[str] = None
-    platform_processes_path: Optional[str] = None
-    keywords: Optional[list[str]] = None
-    max_bucket: int = 8
-    flow_weighted: bool = False
-    output_dir: str = "out"
-    sinkhole: SinkholeConfig = field(default_factory=SinkholeConfig)
+    __slots__ = (*GLOBAL_KEYS, "sinkhole")
+
+    def __init__(self, sinkhole: Optional[SinkholeConfig] = None, **values) -> None:
+        _set_keys(self, GLOBAL_KEYS, values)
+        self.sinkhole = sinkhole or SinkholeConfig()
 
     def validate(self) -> None:
         _check_match_mode(self.match_mode)
@@ -105,8 +156,7 @@ def load_config(path: str) -> GlobalConfig:
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
-    known = {f.name for f in fields(GlobalConfig)}
-    unknown = set(obj) - known
+    unknown = set(obj) - set(GLOBAL_KEYS) - {"sinkhole"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
@@ -114,12 +164,11 @@ def load_config(path: str) -> GlobalConfig:
     if not isinstance(sink_obj, dict):
         raise ValueError("sinkhole section must be an object")
     # The top-level match_mode is the sinkhole's too: there is no second one.
-    sink_known = {f.name for f in fields(SinkholeConfig)} - {"match_mode"}
-    sink_unknown = set(sink_obj) - sink_known
+    sink_unknown = set(sink_obj) - (set(SINKHOLE_KEYS) - {"match_mode"})
     if sink_unknown:
         raise ValueError(f"unknown sinkhole config keys: {sorted(sink_unknown)}")
-    _check_types(SinkholeConfig, sink_obj, "sinkhole.")
-    _check_types(GlobalConfig, obj, "")
+    _check_types(SINKHOLE_KEYS, sink_obj, "sinkhole.")
+    _check_types(GLOBAL_KEYS, obj, "")
     if "active_lists" in sink_obj:
         sink_obj["active_lists"] = tuple(sink_obj["active_lists"])
     sinkhole = SinkholeConfig(**sink_obj)
@@ -129,29 +178,11 @@ def load_config(path: str) -> GlobalConfig:
     return cfg
 
 
-def _conforms(value, hint) -> bool:
-    """True when a JSON value has the type a field declares; a bool is no int."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is typing.Union:
-        return any(_conforms(value, arg) for arg in args)
-    if origin is typing.Literal:  # the values themselves are validate()'s to check
-        return any(type(value) is type(arg) for arg in args)
-    if origin is dict:
-        return isinstance(value, dict) and all(_conforms(v, args[1]) for v in value.values())
-    if origin in (list, tuple):  # a tuple field is a JSON array
-        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
-    return type(value) is hint
-
-
-def _check_types(cls, obj: dict, prefix: str) -> None:
-    """Reject a config value that does not conform to its dataclass field."""
-    hints = typing.get_type_hints(cls)
+def _check_types(table: dict, obj: dict, prefix: str) -> None:
+    """Reject a config value whose JSON type is not its key's."""
     for key, value in obj.items():
-        hint = hints[key]
-        if not _conforms(value, hint):
-            # By origin, not isinstance: on 3.10 dict[str, ...] is an instance of type.
-            generic = typing.get_origin(hint) is not None
-            name = str(hint).replace("typing.", "") if generic else hint.__name__
+        name, conforms, _ = table[key]
+        if not conforms(value):
             raise ValueError(f"{prefix}{key} must be {name}, got {type(value).__name__}")
 
 
@@ -179,7 +210,7 @@ def load_lists_manifest(path: str) -> dict[str, list[str]]:
     """Standalone manifest file for --lists: {"PD": ["path", ...], ...}."""
     with open(path, encoding="utf-8") as fh:
         obj = decode_json(fh.read())
-    if not _conforms(obj, typing.get_type_hints(GlobalConfig)["lists"]):
+    if not _lists_by_name(obj):
         raise ValueError("lists manifest must map list names to arrays of paths")
     base = os.path.dirname(os.path.abspath(path))
     return {name: [_resolve(base, p) for p in paths] for name, paths in obj.items()}

@@ -7,7 +7,6 @@ NamedTuples; ``reports`` renders their rows as CSV and JSON tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import psl
@@ -145,8 +144,7 @@ class AppOverlap(NamedTuple):
     both: frozenset[str]
 
 
-@dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(NamedTuple):
     apps: tuple[AppOverlap, ...]
     total_only_a: int
     total_only_b: int
@@ -297,10 +295,9 @@ def keyword_fn_candidates(
 # -- organization resolution ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrgMap:
-    esld_to_org: dict[str, str] = field(default_factory=dict)
-    org_parent: dict[str, str] = field(default_factory=dict)
+class OrgMap(NamedTuple):
+    esld_to_org: dict[str, str]
+    org_parent: dict[str, str]
 
 
 def load_org_map(esld_lines: Iterable[str] | str, parent_lines: Iterable[str] | str) -> OrgMap:

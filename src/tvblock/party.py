@@ -12,9 +12,7 @@ undetermined otherwise.
 from __future__ import annotations
 
 import enum
-import functools
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from . import psl
@@ -83,7 +81,6 @@ def tokenize(identifier: str, stop_tokens: frozenset[str] = DEFAULT_STOP_TOKENS)
 AppRef = tuple[Optional[str], Optional[str]]  # (app_id, developer)
 
 
-@dataclass(frozen=True)
 class ClassificationContext:
     """Immutable inputs that drive party labels for one dataset.
 
@@ -91,28 +88,42 @@ class ClassificationContext:
     platform_processes lists app_ids whose traffic is platform activity
     (per-process attribution, where the capture provides it). name_to_esld
     holds each distinct name's eSLD (None where it has none), resolved once
-    by build_context.
+    by build_context. third_party is worked out once, here.
     """
 
-    platform_markers: frozenset[str]
-    esld_to_apps: Mapping[str, frozenset[AppRef]]
-    platform_processes: frozenset[str] = frozenset()
-    stop_tokens: frozenset[str] = DEFAULT_STOP_TOKENS
-    name_to_esld: Mapping[str, Optional[str]] = field(default_factory=dict)
+    __slots__ = (
+        "platform_markers", "esld_to_apps", "platform_processes", "stop_tokens",
+        "name_to_esld", "third_party",
+    )
 
-    @functools.cached_property
-    def third_party(self) -> frozenset[str]:
-        """The eSLDs contacted by two or more apps from two or more developers.
+    def __init__(
+        self,
+        platform_markers: frozenset[str],
+        esld_to_apps: Mapping[str, frozenset[AppRef]],
+        platform_processes: frozenset[str] = frozenset(),
+        stop_tokens: frozenset[str] = DEFAULT_STOP_TOKENS,
+        name_to_esld: Optional[Mapping[str, Optional[str]]] = None,
+    ) -> None:
+        self.platform_markers = platform_markers
+        self.esld_to_apps = esld_to_apps
+        self.platform_processes = platform_processes
+        self.stop_tokens = stop_tokens
+        self.name_to_esld = {} if name_to_esld is None else name_to_esld
+        self.third_party = _third_party(esld_to_apps)
 
-        Unknown developers fall back to the app id: distinct apps without
-        developer data are presumed independently developed.
-        """
-        shared = set()
-        for domain, refs in self.esld_to_apps.items():
-            keyed = {(app, dev or app) for app, dev in refs if app is not None}
-            if len({a for a, _ in keyed}) >= 2 and len({k for _, k in keyed}) >= 2:
-                shared.add(domain)
-        return frozenset(shared)
+
+def _third_party(esld_to_apps: Mapping[str, frozenset[AppRef]]) -> frozenset[str]:
+    """The eSLDs contacted by two or more apps from two or more developers.
+
+    Unknown developers fall back to the app id: distinct apps without
+    developer data are presumed independently developed.
+    """
+    shared = set()
+    for domain, refs in esld_to_apps.items():
+        keyed = {(app, dev or app) for app, dev in refs if app is not None}
+        if len({a for a, _ in keyed}) >= 2 and len({k for _, k in keyed}) >= 2:
+            shared.add(domain)
+    return frozenset(shared)
 
 
 def classify(

@@ -12,13 +12,11 @@ every variant.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import logging
 import re
 import urllib.parse
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .blocklists import BlockList, MatchMode, blocked_by
 from .party import ClassificationContext, PartyLabel, classify
@@ -72,20 +70,15 @@ def header_location(name: str) -> str:
     return f"header:{name}"
 
 
-@dataclass(frozen=True)
-class PiiSpec:
-    """One PII kind and the raw device values to search for."""
+class PiiSpec(NamedTuple):
+    """One PII kind and the raw device values to search for; load_pii_specs()
+    refuses a kind with none."""
 
     kind: PiiKind
     raw_values: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.raw_values:
-            raise ValueError(f"{self.kind.value} spec has no raw values")
 
-
-@dataclass(frozen=True)
-class Variant:
+class Variant(NamedTuple):
     """One searchable needle derived from a PII value.
 
     ``component`` distinguishes the latitude/longitude halves of a location
@@ -98,8 +91,7 @@ class Variant:
     component: str = ""
 
 
-@dataclass(frozen=True)
-class ExposureRecord:
+class ExposureRecord(NamedTuple):
     """One PII sighting in one transaction.
 
     ``matched_values`` holds the raw substrings that matched; it exists for
@@ -165,6 +157,8 @@ def load_pii_specs(source: str) -> list[PiiSpec]:
             values = [values]
         elif not isinstance(values, list):
             raise ValueError(f"{key} must be a string or an array")
+        if not values:
+            raise ValueError(f"{kind.value} spec has no raw values")
         specs.append(PiiSpec(kind=kind, raw_values=tuple(str(v) for v in values)))
     return specs
 
@@ -338,7 +332,7 @@ def attribute_exposures(
             domain, party = rec.fqdn, PartyLabel.UNDETERMINED
         else:
             party = classify(rec.app_id, developers.get(rec.app_id), domain, ctx)
-        completed.append(dataclasses.replace(rec, esld=domain, party=party, blocked_by=names))
+        completed.append(rec._replace(esld=domain, party=party, blocked_by=names))
     return completed
 
 
@@ -395,8 +389,7 @@ def redact(
     if not found and body == tx.body:
         return tx
     scrub = _scrubber(found)
-    return dataclasses.replace(
-        tx,
+    return tx._replace(
         uri=scrub(urllib.parse.unquote(tx.uri)),
         headers=tuple((name, scrub(value)) for name, value in tx.headers),
         body=body,

@@ -2,6 +2,8 @@
 
 Implements the published lookup algorithm: among all rules matching a name,
 an exception rule prevails; otherwise the rule with the most labels does.
+Where two exception rules match, the one with the most labels prevails, so
+the answer never depends on the order in which rules are held.
 When nothing matches, the implicit "*" rule applies (the last label is the
 public suffix). The registrable domain (eSLD) is the matched public suffix
 plus one more label.
@@ -12,7 +14,7 @@ Rules files use the canonical public_suffix_list.dat format: "//" comments,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .text import is_ip_literal, normalize_fqdn
 
@@ -48,21 +50,27 @@ class NoMatch(PslError):
     """Lookup attempted against an empty rule set."""
 
 
-@dataclass(frozen=True)
 class SuffixRules:
-    """Parsed PSL rules, partitioned by rule class.
+    """Parsed PSL rules, partitioned by rule class; ``len()`` is the rule count.
 
     ``by_tld`` indexes every rule (as label tuples, wildcards kept as "*")
     under its rightmost label for fast candidate lookup. Immutable after
     load; lookups are pure.
     """
 
-    normal: frozenset[Labels]
-    wildcard: frozenset[Labels]
-    exception: frozenset[Labels]
-    by_tld: dict[str, tuple[tuple[Labels, bool], ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    __slots__ = ("normal", "wildcard", "exception", "by_tld")
+
+    def __init__(
+        self,
+        normal: frozenset[Labels],
+        wildcard: frozenset[Labels],
+        exception: frozenset[Labels],
+        by_tld: Optional[dict[str, tuple[tuple[Labels, bool], ...]]] = None,
+    ) -> None:
+        self.normal = normal
+        self.wildcard = wildcard
+        self.exception = exception
+        self.by_tld = {} if by_tld is None else by_tld
 
     def __len__(self) -> int:
         return len(self.normal) + len(self.wildcard) + len(self.exception)
@@ -191,7 +199,8 @@ def _prevailing_suffix_len(labels: Labels, rules: SuffixRules) -> int:
         if not _rule_matches(rule, labels):
             continue
         if is_exception:
-            exception_len = len(rule) - 1
+            if exception_len is None or len(rule) - 1 > exception_len:
+                exception_len = len(rule) - 1
         else:
             best_len = max(best_len, len(rule))
     if exception_len is not None:

@@ -8,8 +8,8 @@ captures stay loadable.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 # Re-exported: these live in the leaf module so the list loaders need not
@@ -35,7 +35,6 @@ _PLATFORM_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
 class Platform:
     """A smart-TV platform identity.
 
@@ -43,13 +42,24 @@ class Platform:
     non-empty name is carried through as-is for unlisted platforms.
     """
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str) -> None:
+        if not name:
             raise ValueError("platform name must be non-empty")
+        self.name = name
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Platform) and other.name == self.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
+
+    def __repr__(self) -> str:
+        return f"Platform({self.name!r})"
 
     @classmethod
+    @functools.lru_cache(maxsize=64)  # one Platform per spelling, not one per line
     def parse(cls, raw: str) -> "Platform":
         key = raw.strip().lower()
         if not key:
@@ -57,14 +67,14 @@ class Platform:
         return cls(_PLATFORM_ALIASES.get(key, raw.strip()))
 
 
-@dataclass(frozen=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
     """One observed flow: who (device/app) talked to which FQDN, and when.
 
-    ``fqdn`` must already be normalized (lowercase, no trailing dot);
-    parse_flow_log() normalizes raw input before constructing records.
-    ``start_time`` is UTC milliseconds since the epoch. ``app_id`` is absent
-    for in-the-wild captures that lack app attribution.
+    ``fqdn`` is normalized (lowercase, no trailing dot) and non-empty,
+    ``start_time`` is integer UTC milliseconds since the epoch and both byte
+    counts are 0 or more: from_json() checks each of these on every line
+    read. ``app_id`` is absent for in-the-wild captures that lack app
+    attribution.
     """
 
     device_id: str
@@ -76,16 +86,6 @@ class FlowRecord:
     remote_ip: Optional[str] = None
     bytes_up: int = 0
     bytes_down: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.fqdn:
-            raise ValueError("fqdn must be non-empty")
-        if self.fqdn != normalize_fqdn(self.fqdn):
-            raise ValueError(f"fqdn not normalized: {self.fqdn!r}")
-        if self.bytes_up < 0 or self.bytes_down < 0:
-            raise ValueError("byte counts must be >= 0")
-        if not isinstance(self.start_time, int):
-            raise ValueError("start_time must be integer UTC milliseconds")
 
     def to_json(self) -> dict:
         obj = {
@@ -106,7 +106,7 @@ class FlowRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FlowRecord":
-        return cls(
+        rec = cls(
             device_id=_require_str(obj, "device_id"),
             platform=Platform.parse(_require_str(obj, "platform")),
             fqdn=normalize_fqdn(_require_str(obj, "fqdn")),
@@ -117,15 +117,21 @@ class FlowRecord:
             bytes_up=_optional_int(obj, "bytes_up", 0),
             bytes_down=_optional_int(obj, "bytes_down", 0),
         )
+        if not rec.fqdn:
+            raise ValueError("fqdn must be non-empty")
+        _check_normalized(rec.fqdn)
+        if rec.bytes_up < 0 or rec.bytes_down < 0:
+            raise ValueError("byte counts must be >= 0")
+        return rec
 
 
-@dataclass(frozen=True)
-class HttpTransaction:
+class HttpTransaction(NamedTuple):
     """One HTTP request, possibly recovered from a decrypted flow.
 
-    Header names are preserved verbatim.
-    ``uri`` is the request path plus query string and must start with "/".
-    ``body`` is optional: most captures are header-level only.
+    Header names are preserved verbatim. ``uri`` is the request path plus
+    query string and starts with "/", ``method`` is non-empty and ``fqdn``
+    is normalized and non-empty: from_json() checks each of these on every
+    line read. ``body`` is optional: most captures are header-level only.
     """
 
     app_id: str
@@ -138,14 +144,6 @@ class HttpTransaction:
     timestamp: int
     developer: Optional[str] = None
     body: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if not self.method:
-            raise ValueError("method must be non-empty")
-        if not self.uri.startswith("/"):
-            raise ValueError("uri must start with '/'")
-        if not self.fqdn or self.fqdn != normalize_fqdn(self.fqdn):
-            raise ValueError(f"fqdn not normalized: {self.fqdn!r}")
 
     def to_json(self) -> dict:
         obj = {
@@ -176,7 +174,7 @@ class HttpTransaction:
             if not isinstance(pair[0], str) or not isinstance(pair[1], str):
                 raise ValueError("field 'headers' must hold a string name and value in each pair")
             headers.append((pair[0], pair[1]))
-        return cls(
+        tx = cls(
             app_id=_require_str(obj, "app_id"),
             platform=Platform.parse(_require_str(obj, "platform")),
             fqdn=normalize_fqdn(_require_str(obj, "fqdn")),
@@ -188,10 +186,13 @@ class HttpTransaction:
             developer=_optional_str(obj, "developer"),
             body=_optional_str(obj, "body"),
         )
+        if not tx.uri.startswith("/"):
+            raise ValueError("uri must start with '/'")
+        _check_normalized(tx.fqdn)
+        return tx
 
 
-@dataclass(frozen=True)
-class MalformedLine:
+class MalformedLine(NamedTuple):
     """Diagnostic for one input line that could not be parsed."""
 
     line_no: int
@@ -206,16 +207,14 @@ class LogParseError(ValueError):
         self.errors = errors
 
 
-@dataclass
-class ParsedFlows:
+class ParsedFlows(NamedTuple):
     records: list[FlowRecord]
-    errors: list[MalformedLine] = field(default_factory=list)
+    errors: list[MalformedLine]
 
 
-@dataclass
-class ParsedHttp:
+class ParsedHttp(NamedTuple):
     transactions: list[HttpTransaction]
-    errors: list[MalformedLine] = field(default_factory=list)
+    errors: list[MalformedLine]
 
 
 def _iter_lines(source: Iterable[str] | str) -> Iterator[str]:
@@ -229,6 +228,12 @@ def require_field(obj: dict, key: str):
     if key not in obj:
         raise ValueError(f"missing field '{key}'")
     return obj[key]
+
+
+def _check_normalized(fqdn: str) -> None:
+    """Reject a name that one more normalize_fqdn() would change, or an empty one."""
+    if not fqdn or fqdn != normalize_fqdn(fqdn):
+        raise ValueError(f"fqdn not normalized: {fqdn!r}")
 
 
 def _require_str(obj: dict, key: str) -> str:
@@ -342,8 +347,7 @@ def parse_http_log(source: Iterable[str] | str) -> ParsedHttp:
 Contact = tuple[str, Optional[str], Optional[str]]  # (name, app_id, developer)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     """A capture under its label: who contacted what, each distinct fact once.
 
     ``names`` maps each distinct destination name to (is an IP literal,

@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import queue
 import re
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -514,6 +516,63 @@ class TestServe:
         assert [(e["qname"], e["verdict"]) for e in entries] == [
             ("example.org", "upstream_error")
         ]
+
+    def test_sigusr1_dumps_stats_and_sighup_names_the_lists(self, tmp_path):
+        """The installed serve prints its counters on SIGUSR1 and the active
+        lists after a SIGHUP reload, on stderr, and nothing per query."""
+        list_file = tmp_path / "list.txt"
+        list_file.write_text("0.0.0.0 ads.sample-fixture.net\n")
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "lists": {"FIX": [str(list_file)]},
+                    "sinkhole": {
+                        "listen_address": "127.0.0.1:0",
+                        "upstream_resolver": "127.0.0.1:59999",
+                    },
+                }
+            )
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tvblock.cli", "serve", "--config", str(config)],
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        lines = queue.Queue()
+        reader = threading.Thread(target=lambda: [lines.put(line) for line in proc.stderr])
+        reader.start()
+
+        def next_line() -> str:
+            try:
+                return lines.get(timeout=5)
+            except queue.Empty:
+                return ""
+
+        try:
+            match = re.search(r"serving on ([\d.]+):(\d+)", next_line())
+            assert match
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                client.settimeout(5)
+                query = dnswire.build_query("ads.sample-fixture.net", dnswire.TYPE_A, 5)
+                client.sendto(query, (match.group(1), int(match.group(2))))
+                client.recvfrom(4096)
+            proc.send_signal(signal.SIGUSR1)
+            stats_line = next_line()
+            proc.send_signal(signal.SIGHUP)
+            lists_line = next_line()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            reader.join()
+            proc.stderr.close()
+        stats = json.loads(stats_line.split("stats: ", 1)[1])
+        assert (stats["total"], stats["blocked"]) == (1, 1)
+        assert lists_line.rstrip("\n").endswith("active lists now: FIX")
+        assert lines.empty()
 
 
 # The shared flags that a command does not read, so does not take.

@@ -87,6 +87,35 @@ def test_evaluate_loads_no_hashlib(tmp_path):
     assert (tmp_path / "report" / "pii_table.csv").exists()
 
 
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    """Every value type is a NamedTuple or a slot class, so no command loads
+    dataclasses, nor inspect, which dataclasses imports."""
+    ingest_and_scan(str(tmp_path))
+    config = os.path.join(DATA, "corpus_config.json")
+    roku, firetv = str(tmp_path / "roku"), str(tmp_path / "firetv")
+    flows, http = (os.path.join(DATA, "corpus", f"roku_{log}.jsonl") for log in ("flows", "http"))
+    commands = {
+        "ingest": ["ingest", "--flows", flows, "--http", http, "--out", str(tmp_path / "again")],
+        "scan-pii": ["scan-pii", "--config", config, "--bundle", roku],
+        "evaluate": ["evaluate", "--config", config, "--bundle", roku, "--bundle", firetv,
+                     "--out", str(tmp_path / "report")],
+        "classify": ["classify", "--config", config, "--bundle", roku,
+                     "--out", str(tmp_path / "cls")],
+        "serve": ["serve", "--config", config, "--listen", "127.0.0.1:0",
+                  "--upstream", "127.0.0.1:9"],
+    }
+    # serve starts, then stops at its first wait, as on SIGINT.
+    stop_serving = "import time\ndef interrupt(seconds):\n    raise KeyboardInterrupt\ntime.sleep = interrupt\n"
+    loaded = {
+        name: _loaded_after(
+            f"{stop_serving}from tvblock import cli\nassert cli.main({argv!r}) == 0",
+            ["dataclasses", "inspect"],
+        )
+        for name, argv in commands.items()
+    }
+    assert loaded == {name: [] for name in commands}
+
+
 def _has_builtin_digests() -> bool:
     try:
         import _md5, _sha1  # noqa: F401

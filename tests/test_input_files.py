@@ -3,7 +3,6 @@ table (exit 1) or an input error (exit 2) before any output. None of them
 can end a command in a traceback."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -15,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from tvblock import metrics, party, pii
 from tvblock.cli import load_bundle_exposures, main
-from tvblock.config import GlobalConfig
+from tvblock.config import GLOBAL_KEYS
 from tvblock.traffic import read_jsonl, require_field
 
 from conftest import CORPUS_CONFIG, CORPUS_DIR, PSL_PATH
@@ -361,7 +360,7 @@ KEYS = sorted(
     {"esld", "org", "parent", "fqdn", "labels", "app_id", "is_platform", "label", "platform"}
     | {"pii_kind", "encoding", "location", "timestamp", "party", "blocked_by"}
     | {kind.value for kind in pii.PiiKind}
-    | {f.name for f in dataclasses.fields(GlobalConfig)}
+    | {*GLOBAL_KEYS, "sinkhole"}
 )
 
 JSON_VALUES = st.recursive(

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import struct
@@ -408,7 +407,7 @@ class TestRedactEveryStoredField:
         to the URI, every header value and the body finds nothing."""
         variants, t = planted
         out = redact(t, scan_transaction(t, variants), variants)
-        with_body = dataclasses.replace(out, headers=out.headers + (("body", out.body),))
+        with_body = out._replace(headers=out.headers + (("body", out.body),))
         assert scan_transaction(with_body, variants) == []
 
     @settings(deadline=None)

@@ -1,5 +1,9 @@
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -123,6 +127,25 @@ class TestEsld:
     def test_public_suffix_helper(self, rules):
         assert public_suffix("a.b.example.co.uk", rules) == "co.uk"
         assert public_suffix("x.whatever.madeuptld", rules) == "madeuptld"
+
+    def test_exception_with_most_labels_prevails_under_any_hash_seed(self):
+        """Two exception rules match x.a.b.c.d; the longer one, !a.b.c.d,
+        prevails, whatever order the interpreter's hash seed gives the rules."""
+        code = (
+            "import json\n"
+            "from tvblock.psl import esld, load_psl, public_suffix\n"
+            "rules = load_psl('*.c.d\\n!b.c.d\\n*.b.c.d\\n!a.b.c.d\\n')\n"
+            "print(json.dumps([esld('x.a.b.c.d', rules), public_suffix('x.a.b.c.d', rules)]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(psl.__file__)))
+        answers = {
+            seed: json.loads(subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            ).stdout)
+            for seed in ("0", "1")
+        }
+        assert answers == {"0": ["a.b.c.d", "b.c.d"], "1": ["a.b.c.d", "b.c.d"]}
 
 
 class TestOfficialVectors:
