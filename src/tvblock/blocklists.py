@@ -5,9 +5,11 @@ or bare-domain files. Entries are stored in a hash set keyed by normalized
 domain so per-query lookups stay O(1) for the sinkhole's latency budget.
 
 ``blocked_by`` is the one list question: it works out once which entries
-would block a name and answers for every list together, with the set of
-the names of the lists that block it. ``is_blocked`` is the same rule for
-one list.
+would block a name (``match_keys``) and answers for every list together,
+with the set of the names of the lists that block it. ``is_blocked`` is the
+same rule for one list. A command that asks only about known names builds
+its lists with those names' ``wanted_entries``: the parse and ``build_list``
+keep only the entries in that set, and give the same diagnostics.
 
 Most files are parsed in one pass over the whole text, in chunks cut at
 line breaks, with string operations that run in C: comments are cut with
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import re
-from typing import Iterable, Literal, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Iterable, Literal, NamedTuple, Optional, Sequence
 
 from .text import is_ip_literal, normalize_fqdn
 
@@ -83,14 +85,17 @@ class BlockList(NamedTuple):
 
 
 def parse_hosts_list(
-    text: str, diagnostics: Optional[list[HostsLineDiagnostic]] = None
+    text: str,
+    diagnostics: Optional[list[HostsLineDiagnostic]] = None,
+    wanted: Optional[AbstractSet[str]] = None,
 ) -> set[str]:
     """Extract blockable domains from hosts-file or bare-domain text.
 
     Comment ("#") and blank lines are skipped, a leading IP column is
     dropped, loopback canonical names are excluded, and every remaining
     token is normalized. Unparseable tokens are skipped; pass a list to
-    collect diagnostics for them.
+    collect diagnostics for them. With ``wanted``, only the domains in it
+    are kept, chunk by chunk, and the diagnostics are the same.
     """
     if (
         text.isascii()
@@ -104,11 +109,11 @@ def parse_hosts_list(
             names = _parse_whole(text[start:end])
             if names is None:
                 break
-            domains |= names
+            domains |= names if wanted is None else names & wanted
             start = end
         else:
             return domains
-    return _parse_lines(text, diagnostics)
+    return _parse_lines(text, diagnostics, wanted)
 
 
 def _parse_whole(text: str) -> Optional[set[str]]:
@@ -142,7 +147,9 @@ def _parse_whole(text: str) -> Optional[set[str]]:
 
 
 def _parse_lines(
-    text: str, diagnostics: Optional[list[HostsLineDiagnostic]]
+    text: str,
+    diagnostics: Optional[list[HostsLineDiagnostic]],
+    wanted: Optional[AbstractSet[str]],
 ) -> set[str]:
     """parse_hosts_list one line at a time, for every text."""
     domains: set[str] = set()
@@ -165,12 +172,18 @@ def _parse_lines(
                         HostsLineDiagnostic(line_no, token, "not a domain name")
                     )
                 continue
-            domains.add(domain)
+            if wanted is None or domain in wanted:
+                domains.add(domain)
     return domains
 
 
-def build_list(name: str, files: Sequence[str]) -> BlockList:
-    """Build a named blocklist from the union of one or more hosts files."""
+def build_list(
+    name: str, files: Sequence[str], wanted: Optional[AbstractSet[str]] = None
+) -> BlockList:
+    """Build a named blocklist from the union of one or more hosts files.
+
+    With ``wanted``, the list holds only the entries in it (parse_hosts_list).
+    """
     if not files:
         raise EmptyList(f"list {name!r} has no source files")
     parsed: list[set[str]] = []
@@ -181,7 +194,7 @@ def build_list(name: str, files: Sequence[str]) -> BlockList:
         except OSError as exc:
             raise FileUnreadable(str(path), exc.strerror or str(exc)) from exc
         diagnostics: list[HostsLineDiagnostic] = []
-        parsed.append(parse_hosts_list(text, diagnostics))
+        parsed.append(parse_hosts_list(text, diagnostics, wanted))
         for diag in diagnostics:
             log.warning(
                 "%s:%d: skipped %r (%s)", path, diag.line_no, diag.token, diag.reason
@@ -189,23 +202,37 @@ def build_list(name: str, files: Sequence[str]) -> BlockList:
     return BlockList(name=name, entries=frozenset().union(*parsed))
 
 
+def match_keys(fqdn: str, mode: MatchMode) -> Sequence[str]:
+    """The entries that could block the fqdn in the mode:
+    exact: the name itself (faithful hosts-file semantics);
+    suffix: the name and each of its dot-boundary parent domains.
+    """
+    if mode == "exact":
+        return (fqdn,)
+    if mode == "suffix":
+        parts = fqdn.split(".")
+        return [".".join(parts[i:]) for i in range(len(parts))]
+    raise ValueError(f"unknown match mode {mode!r}")
+
+
+def wanted_entries(names: Iterable[str]) -> set[str]:
+    """The entries that could block any of the names in either match mode.
+
+    Lists built with this wanted set answer every question about these
+    names as the whole lists do.
+    """
+    return {key for name in names for key in match_keys(name, "suffix")}
+
+
 def blocked_by(
     fqdn: str, lists: Sequence[BlockList], mode: MatchMode = "exact"
 ) -> frozenset[str]:
     """The names of the lists that block the fqdn; empty when none does.
 
-    The entries that would block the name are worked out once:
-    exact: the name itself (faithful hosts-file semantics);
-    suffix: the name and each of its dot-boundary parent domains.
-    A list blocks the name when it holds any of them.
+    The entries that would block the name are worked out once
+    (``match_keys``); a list blocks the name when it holds any of them.
     """
-    if mode == "exact":
-        keys: Sequence[str] = (fqdn,)
-    elif mode == "suffix":
-        parts = fqdn.split(".")
-        keys = [".".join(parts[i:]) for i in range(len(parts))]
-    else:
-        raise ValueError(f"unknown match mode {mode!r}")
+    keys = match_keys(fqdn, mode)
     return frozenset(bl.name for bl in lists if not bl.entries.isdisjoint(keys))
 
 

@@ -22,7 +22,7 @@ import time
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import __version__
-from .blocklists import MATCH_MODES, BlockList, blocked_by, build_list
+from .blocklists import MATCH_MODES, BlockList, blocked_by, build_list, wanted_entries
 from .config import BLOCKING_MODES, GlobalConfig, load_config, load_lists_manifest
 from .text import KNOWN_PLATFORMS, decode_json
 
@@ -228,13 +228,21 @@ def _load_rules(cfg: GlobalConfig) -> psl.SuffixRules:
         raise CliError(str(exc)) from exc
 
 
-def _build_lists(cfg: GlobalConfig) -> list[BlockList]:
+def _build_lists(
+    cfg: GlobalConfig, datasets: Optional[Sequence[Dataset]] = None
+) -> list[BlockList]:
+    # Given datasets, each list keeps only the entries that could block one
+    # of their names: every list question of evaluate and scan-pii is about
+    # such a name.
     if not cfg.lists:
         raise CliError("no blocklists configured (--lists or config lists)")
+    wanted = None
+    if datasets is not None:
+        wanted = wanted_entries(name for ds in datasets for name in ds.names)
     built = []
     for name, paths in cfg.lists.items():
         try:
-            built.append(build_list(name, paths))
+            built.append(build_list(name, paths, wanted))
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot build list {name}: {exc}") from exc
     return built
@@ -381,10 +389,10 @@ def cmd_evaluate(args) -> int:
     from .traffic import dataset_summary
 
     cfg = _load_global_config(args)
-    lists = _build_lists(cfg)
     rules = _load_rules(cfg)
     processes = _load_processes(cfg)
     bundles = [load_bundle(path) for path in args.bundle]
+    lists = _build_lists(cfg, bundles)
 
     # Summarised first, so dataset_summary's transient per-name maps do not
     # stack on the table rows at the process's memory peak.
@@ -524,10 +532,10 @@ def cmd_scan_pii(args) -> int:
     spec_path = args.pii_spec or cfg.pii_spec_path
     if not spec_path or not os.path.exists(spec_path):
         raise CliError("PII spec file is required and must exist")
-    lists = _build_lists(cfg)
     rules = _load_rules(cfg)
     processes = _load_processes(cfg)
     dataset = load_bundle(args.bundle)
+    lists = _build_lists(cfg, [dataset])
 
     pii.warn_if_world_readable(spec_path)
     try:

@@ -24,11 +24,16 @@ KNOWN_PLATFORMS = (
 
 
 def normalize_fqdn(raw: str) -> str:
-    """Lowercase a domain name and strip surrounding space and the trailing dot.
+    """Lowercase a domain name and strip surrounding space and the trailing dots.
 
-    Idempotent: normalize_fqdn(normalize_fqdn(x)) == normalize_fqdn(x).
+    Space between trailing dots goes too ("a. ." gives "a"), so the result
+    is idempotent for any string: normalize_fqdn(normalize_fqdn(x)) ==
+    normalize_fqdn(x).
     """
-    return raw.strip().rstrip(".").lower()
+    name = raw.strip()
+    while name.endswith("."):
+        name = name.rstrip(".").rstrip()
+    return name.lower()
 
 
 def is_ip_literal(value: str) -> bool:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tvblock.blocklists import (
     LOOPBACK_NAMES,
+    MATCH_MODES,
     BlockList,
     EmptyList,
     FileUnreadable,
@@ -19,6 +20,7 @@ from tvblock.blocklists import (
     is_blocked,
     parse_hosts_list,
     union_lists,
+    wanted_entries,
 )
 from tvblock.traffic import normalize_fqdn
 
@@ -109,6 +111,17 @@ class TestBuildList:
         bl = build_list("fixture", paths)
         assert bl.entry_count == 9
         assert "one.com" in bl.entries and "nine.com" in bl.entries
+
+    def test_wanted_set_keeps_its_entries_and_every_warning(self, tmp_path, caplog):
+        path = tmp_path / "l.txt"
+        path.write_text("0.0.0.0 ads.example.com\n0.0.0.0 bad^host\nexample.net\nother.org\n")
+        full = build_list("L", [str(path)])
+        full_log = caplog.text
+        caplog.clear()
+        kept = build_list("L", [str(path)], wanted_entries(["x.ads.example.com", "other.org"]))
+        assert full.entries == {"ads.example.com", "example.net", "other.org"}
+        assert kept == BlockList("L", frozenset({"ads.example.com", "other.org"}))
+        assert "skipped 'bad^host'" in full_log and caplog.text == full_log
 
 
 class TestIsBlocked:
@@ -366,3 +379,54 @@ class TestMatchProperties:
     @given(LISTS)
     def test_union_entries_are_the_set_union(self, lists):
         assert union_lists(lists).entries == set().union(*(bl.entries for bl in lists))
+
+
+# Lists over the labels that capture names are drawn from, so that entries
+# are often a name or one of its parents. A line with a token that only the
+# line loop takes (a line break other than LF, text that is not ASCII, a
+# token it reports, an address that does not open its line) is drawn half
+# the time, so the whole-text pass and the line loop both meet a wanted set.
+LIST_LABELS = ["a", "b", "ads", "x-1", "4"]
+LIST_NAMES = st.lists(st.sampled_from(LIST_LABELS), min_size=1, max_size=4).map(".".join)
+LIST_LINE = st.tuples(
+    st.sampled_from(["", "0.0.0.0 ", "::1 "]),
+    st.lists(
+        st.one_of(LIST_NAMES, LIST_NAMES.map(str.upper), LIST_NAMES.map("{}.".format)),
+        min_size=1,
+        max_size=3,
+    ).map(" ".join),
+    st.sampled_from(["", " # note"]),
+).map("".join)
+LOOP_LINE = st.sampled_from(
+    ["0.0.0.0 bad^host a.b", "\u212a.ads b.ads", "a.b 0.0.0.0", "0.0.0.0 A.ADS\x85b.a", "ads.4\rb"]
+)
+
+
+@st.composite
+def list_texts(draw):
+    lines = draw(st.lists(LIST_LINE, max_size=10))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(LOOP_LINE))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+CAPTURE_NAMES = st.lists(
+    st.one_of(LIST_NAMES, st.sampled_from(["1.2.3.4", "10.0.0.4", "ads.4.b.a"])), max_size=6
+)
+
+
+class TestWantedEntries:
+    @given(st.lists(list_texts(), min_size=1, max_size=4), CAPTURE_NAMES)
+    def test_restricted_lists_answer_every_capture_name_as_the_whole_lists(self, texts, names):
+        wanted = wanted_entries(names)
+        whole, restricted = [], []
+        for i, text in enumerate(texts):
+            whole_diags, kept_diags = [], []
+            whole.append(BlockList(f"L{i}", frozenset(parse_hosts_list(text, whole_diags))))
+            kept = parse_hosts_list(text, kept_diags, wanted)
+            restricted.append(BlockList(f"L{i}", frozenset(kept)))
+            assert kept_diags == whole_diags
+            assert kept == whole[-1].entries & wanted
+        for name in names:
+            for mode in MATCH_MODES:
+                assert blocked_by(name, restricted, mode) == blocked_by(name, whole, mode)

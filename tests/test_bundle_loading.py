@@ -14,8 +14,9 @@ import tracemalloc
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, Capture, dataset
+from conftest import CORPUS_CONFIG, CORPUS_DIR, DATA_DIR, Capture, dataset
 from test_contact_index import contact, flow, http, random_dataset
+from tvblock.blocklists import build_list
 from tvblock.cli import load_bundle, main, write_bundle
 from tvblock.traffic import Platform, dataset_summary, parse_flow_log, parse_http_log
 
@@ -142,3 +143,44 @@ class TestMemory:
         large_peak = ingest_peak(large, str(tmp_path / "large-out"))
         capsys.readouterr()
         assert large_peak < 1.5 * small_peak, (small_peak, large_peak)
+
+    def test_evaluate_holds_only_the_list_entries_its_names_can_hit(self, tmp_path, capsys):
+        """Padding every list with 40,000 names that no capture holds raises
+        evaluate's peak by far less than holding the padded lists takes."""
+        bundles = []
+        for label, stem in [("Roku", "roku"), ("FireTV", "firetv")]:
+            bundles += ["--bundle", str(tmp_path / stem)]
+            write_bundle(bundles[-1], *corpus_dataset(label, stem, Platform(label)))
+        with open(CORPUS_CONFIG, encoding="utf-8") as fh:
+            corpus_lists = json.load(fh)["lists"]
+        pad = tmp_path / "pad.txt"
+        pad.write_text("".join(f"0.0.0.0 pad{i}.nowhere.test\n" for i in range(40_000)))
+
+        def manifest(name, extra):
+            path = tmp_path / f"{name}.json"
+            lists = {n: [os.path.join(DATA_DIR, p) for p in ps] + extra for n, ps in corpus_lists.items()}
+            path.write_text(json.dumps(lists))
+            return str(path), lists
+
+        def evaluate_peak(lists_path):
+            argv = ["evaluate", "--config", CORPUS_CONFIG, "--lists", lists_path, *bundles]
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        plain, _ = manifest("plain", [])
+        padded, padded_lists = manifest("padded", [str(pad)])
+        evaluate_peak(plain)  # first-call allocations off the books
+        growth = evaluate_peak(padded) - evaluate_peak(plain)
+        tracemalloc.start()
+        try:
+            whole = [build_list(n, paths) for n, paths in padded_lists.items()]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert sum(bl.entry_count for bl in whole) > 160_000
+        assert growth < held / 4, (growth, held)

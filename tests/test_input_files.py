@@ -7,6 +7,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -306,6 +308,55 @@ def test_lists_manifest_with_a_path_that_is_no_string_exits_2(corpus, tmp_path):
         "lists manifest must map list names to arrays of paths\n"
     )
     assert not out.exists()
+
+
+# -- the order of the inputs --------------------------------------------------
+#
+# evaluate and scan-pii read their bundles before their lists, since each list
+# keeps only the entries the bundles' names can hit.
+
+
+@pytest.mark.parametrize("command", ["evaluate", "scan-pii"])
+def test_bad_bundle_is_reported_before_a_bad_list(corpus, tmp_path, command):
+    manifest = tmp_path / "lists.json"
+    missing = tmp_path / "missing.txt"
+    manifest.write_text(json.dumps({"PD": [str(missing)]}))
+    bundle = tmp_path / "bundle"
+    shutil.copytree(corpus / "bundle", bundle)
+    flows = bundle / "flows.jsonl"
+    good_flows = flows.read_text()
+    flows.write_text("junk\n")
+    argv = [command, "--bundle", bundle, "--config", CORPUS_CONFIG, "--lists", manifest]
+    out = tmp_path / "out"
+    code, stdout, err = _main(*argv, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: corrupt bundle file {flows}: no flow records parsed from input\n"
+    flows.write_text(good_flows)
+    code, stdout, err = _main(*argv, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot build list PD: cannot read blocklist file {missing}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "scan-pii"])
+def test_list_warning_follows_the_bundle_warning(corpus, tmp_path, command):
+    bad_list = tmp_path / "bad.txt"
+    bad_list.write_text("0.0.0.0 bad^host\n")
+    manifest = tmp_path / "lists.json"
+    manifest.write_text(json.dumps({"PD": [str(bad_list)]}))
+    bundle = tmp_path / "bundle"
+    shutil.copytree(corpus / "bundle", bundle)
+    flows = bundle / "flows.jsonl"
+    flows.write_text(flows.read_text() + "junk\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "tvblock.cli", command, "--bundle", str(bundle),
+         "--config", CORPUS_CONFIG, "--lists", str(manifest), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.stderr.splitlines()[:2] == [  # then scan-pii may warn about its spec
+        f"warning: {flows}: skipped 1 unparsable lines",
+        f"WARNING tvblock.blocklists: {bad_list}:1: skipped 'bad^host' (not a domain name)",
+    ]
 
 
 # -- the strict reader --------------------------------------------------------

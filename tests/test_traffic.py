@@ -66,6 +66,13 @@ class TestParseFlowLog:
         rec = parse_flow_log(line).records[0]
         assert is_ip_literal(rec.fqdn)
 
+    def test_space_between_trailing_dots_reads_as_the_name(self):
+        line = '{"device_id":"d","platform":"Roku","fqdn":"a. .","start_time":0}'
+        result = parse_flow_log(line)
+        assert result.errors == []
+        assert result.records[0].fqdn == "a"
+        assert FlowRecord.from_json(json.loads(line)).fqdn == "a"
+
     def test_negative_bytes_rejected(self):
         line = '{"device_id":"d","platform":"Roku","fqdn":"a.com","start_time":0,"bytes_up":-1}'
         result = parse_flow_log(FLOW_LINE + "\n" + line)
@@ -135,13 +142,21 @@ class TestNormalization:
     def test_examples(self, raw, expected):
         assert normalize_fqdn(raw) == expected
 
-    def test_idempotent_on_random_inputs(self):
-        rng = random.Random(5)
-        alphabet = "aBcD.-019"
-        for _ in range(500):
-            s = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 30)))
-            once = normalize_fqdn(s)
-            assert normalize_fqdn(once) == once
+    @given(
+        st.one_of(
+            # Names with space among their dots, ASCII and not (NBSP, the
+            # em and ideographic spaces, NEL, a file separator), and any text.
+            st.text("aBcD.-019 \t\n\x1c\x85\xa0\u2003\u3000..  ", max_size=30),
+            st.text(max_size=30),
+        )
+    )
+    def test_idempotent_on_random_inputs(self, raw):
+        once = normalize_fqdn(raw)
+        assert normalize_fqdn(once) == once
+
+    @pytest.mark.parametrize("raw", ["a. .", "A .\u3000. ", " a.\xa0..\t"])
+    def test_space_between_trailing_dots_goes(self, raw):
+        assert normalize_fqdn(raw) == "a"
 
 
 class TestPlatform:
