@@ -287,12 +287,12 @@ def _read_input_log(path: str, build, what: str, errors: list, required: bool):
     """Yield the items of one of ingest's input logs; skipped lines go to ``errors``.
 
     A log with content but no parsable line is a CliError when ``required``,
-    and otherwise yields nothing.
+    and otherwise yields nothing. A leading byte order mark is ignored.
     """
     from .traffic import LogParseError, iter_jsonl
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield from iter_jsonl(fh, build, what, errors)
     except LogParseError as exc:
         if required:

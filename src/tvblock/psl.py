@@ -8,13 +8,19 @@ When nothing matches, the implicit "*" rule applies (the last label is the
 public suffix). The registrable domain (eSLD) is the matched public suffix
 plus one more label.
 
+A lookup is one walk over the name's suffixes, shortest first, with three
+set lookups per suffix, so its cost grows with the name's labels and not
+with the number of rules.
+
 Rules files use the canonical public_suffix_list.dat format: "//" comments,
-"*." wildcards, "!" exceptions, and ICANN/PRIVATE section markers.
+"*." wildcards, "!" exceptions, and ICANN/PRIVATE section markers. A leading
+byte order mark is ignored. A "*" counts only as the whole leftmost label
+of a rule that is not an exception, the only wildcard the published list
+uses; any other rule holding a "*" (``a.*.b``, ``*.*.d``, ``!*.c``) is
+skipped.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .text import is_ip_literal, normalize_fqdn
 
@@ -51,26 +57,24 @@ class NoMatch(PslError):
 
 
 class SuffixRules:
-    """Parsed PSL rules, partitioned by rule class; ``len()`` is the rule count.
+    """Parsed PSL rules as label tuples, partitioned by rule class.
 
-    ``by_tld`` indexes every rule (as label tuples, wildcards kept as "*")
-    under its rightmost label for fast candidate lookup. Immutable after
-    load; lookups are pure.
+    ``wildcard`` rules keep their leading "*" label; ``exception`` rules
+    drop their "!". ``len()`` is the rule count. Immutable after load;
+    lookups are pure.
     """
 
-    __slots__ = ("normal", "wildcard", "exception", "by_tld")
+    __slots__ = ("normal", "wildcard", "exception")
 
     def __init__(
         self,
         normal: frozenset[Labels],
         wildcard: frozenset[Labels],
         exception: frozenset[Labels],
-        by_tld: Optional[dict[str, tuple[tuple[Labels, bool], ...]]] = None,
     ) -> None:
         self.normal = normal
         self.wildcard = wildcard
         self.exception = exception
-        self.by_tld = {} if by_tld is None else by_tld
 
     def __len__(self) -> int:
         return len(self.normal) + len(self.wildcard) + len(self.exception)
@@ -98,7 +102,8 @@ def load_psl(text: str, include_private: bool = True) -> SuffixRules:
     Both the ICANN and PRIVATE sections load by default; pass
     include_private=False to restrict to ICANN rules. Rules outside any
     section marker (ad-hoc files) are treated as ICANN. Non-ASCII rules also
-    register their punycoded form so punycoded query names match.
+    register their punycoded form so punycoded query names match. A "*"
+    other than a non-exception rule's leftmost label skips its rule.
     """
     normal: set[Labels] = set()
     wildcard: set[Labels] = set()
@@ -125,45 +130,22 @@ def load_psl(text: str, include_private: bool = True) -> SuffixRules:
         labels = tuple(lab for lab in rule.split(".") if lab)
         if not labels:
             continue
-        forms = [labels]
+        is_wildcard = labels[0] == "*" and not is_exception
+        if "*" in "".join(labels[1:] if is_wildcard else labels):
+            continue
+        target = exception if is_exception else wildcard if is_wildcard else normal
+        target.add(labels)
         twin = _punycode_twin(labels)
         if twin:
-            forms.append(twin)
-        for form in forms:
-            if is_exception:
-                exception.add(form)
-            elif "*" in form:
-                wildcard.add(form)
-            else:
-                normal.add(form)
+            target.add(twin)
     if not normal and not wildcard and not exception:
         raise EmptyRuleSet("no rules parsed from PSL text")
-
-    by_tld: dict[str, list[tuple[Labels, bool]]] = {}
-    for labels in normal | wildcard:
-        by_tld.setdefault(labels[-1], []).append((labels, False))
-    for labels in exception:
-        by_tld.setdefault(labels[-1], []).append((labels, True))
-    frozen_index = {tld: tuple(rules) for tld, rules in by_tld.items()}
-    return SuffixRules(
-        normal=frozenset(normal),
-        wildcard=frozenset(wildcard),
-        exception=frozenset(exception),
-        by_tld=frozen_index,
-    )
+    return SuffixRules(frozenset(normal), frozenset(wildcard), frozenset(exception))
 
 
 def load_psl_file(path: str, include_private: bool = True) -> SuffixRules:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return load_psl(fh.read(), include_private=include_private)
-
-
-def _rule_matches(rule: Labels, domain: Labels) -> bool:
-    """A rule matches when it aligns with the domain's rightmost labels."""
-    if len(rule) > len(domain):
-        return False
-    tail = domain[len(domain) - len(rule):]
-    return all(r == "*" or r == d for r, d in zip(rule, tail))
 
 
 def _normalize_query(fqdn: str) -> Labels:
@@ -192,22 +174,20 @@ def public_suffix(fqdn: str, rules: SuffixRules) -> str:
 
 
 def _prevailing_suffix_len(labels: Labels, rules: SuffixRules) -> int:
-    candidates = rules.by_tld.get(labels[-1], ())
-    best_len = 0
+    """Labels in the public suffix: one walk over the suffixes, shortest first.
+
+    A matched exception prevails, the longest one where several match;
+    otherwise the longest matched rule does, or the implicit "*" rule.
+    """
+    best_len = 1  # implicit "*" rule
     exception_len = None
-    for rule, is_exception in candidates:
-        if not _rule_matches(rule, labels):
-            continue
-        if is_exception:
-            if exception_len is None or len(rule) - 1 > exception_len:
-                exception_len = len(rule) - 1
-        else:
-            best_len = max(best_len, len(rule))
-    if exception_len is not None:
-        return exception_len
-    if best_len == 0:
-        best_len = 1  # implicit "*" rule
-    return best_len
+    for n in range(1, len(labels) + 1):
+        tail = labels[-n:]
+        if tail in rules.exception:
+            exception_len = n - 1
+        if tail in rules.normal or ("*",) + tail[1:] in rules.wildcard:
+            best_len = n
+    return best_len if exception_len is None else exception_len
 
 
 def esld(fqdn: str, rules: SuffixRules) -> str:

@@ -294,6 +294,24 @@ def test_flow_line_with_a_lone_surrogate_is_skipped_at_ingest(tmp_path):
     assert [row.split(",")[1] for row in rows] == ["Newsy"]
 
 
+def test_input_logs_with_a_byte_order_mark_build_the_same_bundle(corpus, tmp_path):
+    for name in ("roku_flows.jsonl", "roku_http.jsonl"):
+        with open(os.path.join(CORPUS_DIR, name), encoding="utf-8") as fh:
+            (tmp_path / name).write_text(fh.read(), encoding="utf-8-sig")
+    bundle = tmp_path / "bundle"
+    code, _, err = _main(
+        "ingest",
+        "--flows", tmp_path / "roku_flows.jsonl",
+        "--http", tmp_path / "roku_http.jsonl",
+        "--label", "Roku",
+        "--platform", "roku",
+        "--out", bundle,
+    )
+    assert (code, err) == (0, "")
+    for name in ("flows.jsonl", "http.jsonl", "summary.json", "meta.json"):
+        assert (bundle / name).read_bytes() == (corpus / "bundle" / name).read_bytes(), name
+
+
 def test_lists_manifest_with_a_path_that_is_no_string_exits_2(corpus, tmp_path):
     manifest = tmp_path / "lists.json"
     manifest.write_text('{"PD": [1]}')

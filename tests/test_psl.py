@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvblock import psl
@@ -68,6 +68,32 @@ class TestLoadPsl:
         )
         # blogspot.com is a private-section rule
         assert esld("foo.blogspot.com", rules) == "foo.blogspot.com"
+        assert esld("foo.blogspot.com", icann_only) == "blogspot.com"
+
+    def test_star_is_kept_only_as_the_leftmost_label_of_a_non_exception(self):
+        """A rule with a "*" anywhere else is skipped: a.*.b would make
+        a.q.b a public suffix, *.*.d would make p.q.d one, and !*.c would
+        make x.q.c the eSLD q.c."""
+        rules = load_psl("*.c\na.*.b\n*.*.d\n!*.c\n")
+        assert (rules.normal, rules.wildcard, rules.exception) == (
+            frozenset(), {("*", "c")}, frozenset()
+        )
+        assert esld("x.a.q.b", rules) == "q.b"
+        assert esld("x.p.q.d", rules) == "q.d"
+        assert esld("x.q.c", rules) == "x.q.c"
+
+    def test_leading_exception_survives_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "psl.dat"
+        path.write_text("!www.ck\n*.ck\n", encoding="utf-8-sig")
+        assert esld("www.ck", psl.load_psl_file(str(path))) == "www.ck"
+
+    def test_leading_private_marker_survives_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "psl.dat"
+        path.write_text(
+            "// ===BEGIN PRIVATE DOMAINS===\nblogspot.com\n// ===END PRIVATE DOMAINS===\ncom\n",
+            encoding="utf-8-sig",
+        )
+        icann_only = psl.load_psl_file(str(path), include_private=False)
         assert esld("foo.blogspot.com", icann_only) == "blogspot.com"
 
 
@@ -160,8 +186,7 @@ class TestOfficialVectors:
                 got = None
             if got != expected:
                 failures.append((domain, expected, got))
-        passed = len(cases) - len(failures)
-        assert passed / len(cases) >= 0.95, failures
+        assert failures == []
 
 
 # -- properties ---------------------------------------------------------------
@@ -213,3 +238,80 @@ class TestEsldProperties:
             return
         normalized = normalize_fqdn(name)
         assert normalized == result or normalized.endswith("." + result)
+
+
+# -- against the published algorithm ------------------------------------------
+
+
+def published_algorithm(rules, name):
+    """(registrable domain or None, public suffix) of a name, by brute force.
+
+    A transcription of the algorithm at publicsuffix.org/list/: every rule
+    is tried against the name; a non-ASCII rule is tried in its Unicode and
+    its punycode form. ``rules`` are rule texts as the list writes them.
+    """
+    labels = name.rstrip(".").lower().split(".")
+    matching = []
+    for rule in rules:
+        is_exception = rule.startswith("!")
+        unicode_form = rule.lstrip("!").split(".")
+        punycode_form = [lab.encode("idna").decode("ascii") for lab in unicode_form]
+        for form in (unicode_form, punycode_form):
+            if len(form) <= len(labels) and all(
+                r in ("*", d) for r, d in zip(reversed(form), reversed(labels))
+            ):
+                matching.append((is_exception, form))
+    exceptions = [form for is_exception, form in matching if is_exception]
+    if exceptions:  # an exception prevails, the one with the most labels, minus its leftmost
+        suffix_len = max(map(len, exceptions)) - 1
+    elif matching:  # otherwise the rule with the most labels
+        suffix_len = max(len(form) for _, form in matching)
+    else:  # the implicit "*" rule
+        suffix_len = 1
+    suffix = ".".join(labels[len(labels) - suffix_len:])
+    if suffix_len >= len(labels):
+        return None, suffix
+    return ".".join(labels[len(labels) - suffix_len - 1:]), suffix
+
+
+# Few labels, so rules nest and overlap; "ü" is punycoded as "xn--tda".
+RULE = st.builds(
+    lambda kind, labels: kind + ".".join(labels),
+    st.sampled_from(["", "*.", "!"]),
+    st.lists(st.sampled_from(["a", "b", "c", "ü"]), min_size=1, max_size=3),
+)
+QUERY = st.builds(
+    lambda labels, dot: ".".join(lab.upper() if upper else lab for lab, upper in labels) + dot,
+    st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c", "x", "ü", "xn--tda"]), st.booleans()),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from(["", "."]),
+)
+
+
+class TestAgainstPublishedAlgorithm:
+    @settings(max_examples=300)
+    @given(
+        st.lists(RULE, min_size=1, max_size=8),
+        st.lists(RULE, max_size=4),
+        st.booleans(),
+        st.lists(QUERY, min_size=1, max_size=10),
+    )
+    # A shorter exception prevails over a longer normal rule that matches.
+    @example(["*.c", "!b.c", "a.b.c"], [], True, ["x.a.b.c"])
+    def test_esld_and_public_suffix_agree(self, icann, private, include_private, names):
+        text = "\n".join(
+            icann + ["// ===BEGIN PRIVATE DOMAINS==="] + private + ["// ===END PRIVATE DOMAINS==="]
+        )
+        rules = load_psl(text, include_private=include_private)
+        wanted = icann + private if include_private else icann
+        for name in names:
+            registrable, suffix = published_algorithm(wanted, name)
+            assert public_suffix(name, rules) == suffix, name
+            if registrable is None:
+                with pytest.raises(IsPublicSuffix):
+                    esld(name, rules)
+            else:
+                assert esld(name, rules) == registrable, name
