@@ -262,7 +262,7 @@ def _load_processes(cfg: GlobalConfig) -> frozenset[str]:
     if not cfg.platform_processes_path:
         return frozenset()
     try:
-        with open(cfg.platform_processes_path, encoding="utf-8") as fh:
+        with open(cfg.platform_processes_path, encoding="utf-8-sig") as fh:
             return load_platform_processes(fh)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read platform process file: {exc}") from exc
@@ -458,12 +458,15 @@ def cmd_evaluate(args) -> int:
                 notes.append(f"{name} omitted for {dataset.label}: no app attribution")
             except Exception as exc:
                 failures.append(f"{name}[{dataset.label}]: {exc}")
+        # The lambdas hold ctx in a cell: emptied here, the context is freed
+        # before the next bundle's is built and before the overlap and writes.
+        del ctx
 
     organizations = None
     if cfg.org_esld_path and cfg.org_parent_path:
         try:
-            with open(cfg.org_esld_path, encoding="utf-8") as ef, open(
-                cfg.org_parent_path, encoding="utf-8"
+            with open(cfg.org_esld_path, encoding="utf-8-sig") as ef, open(
+                cfg.org_parent_path, encoding="utf-8-sig"
             ) as pf:
                 org_map = metrics.load_org_map(ef, pf)
             eslds = sorted({r.esld for _, r in rows["penetration"]})
@@ -474,7 +477,7 @@ def cmd_evaluate(args) -> int:
     ats_labeled = None
     if cfg.ats_labels_path:
         try:
-            with open(cfg.ats_labels_path, encoding="utf-8") as fh:
+            with open(cfg.ats_labels_path, encoding="utf-8-sig") as fh:
                 labels = metrics.load_ats_labels(fh)
             ats_labeled = sorted(
                 fqdn
@@ -539,7 +542,7 @@ def cmd_scan_pii(args) -> int:
 
     pii.warn_if_world_readable(spec_path)
     try:
-        with open(spec_path, encoding="utf-8") as fh:
+        with open(spec_path, encoding="utf-8-sig") as fh:
             specs = pii.load_pii_specs(fh.read())
         variants = pii.build_all_variants(specs)
     except OSError as exc:

@@ -151,7 +151,7 @@ class GlobalConfig:
 
 
 def load_config(path: str) -> GlobalConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         obj = decode_json(fh.read())
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
@@ -208,7 +208,7 @@ def _resolve_paths(cfg: GlobalConfig, base: str) -> None:
 
 def load_lists_manifest(path: str) -> dict[str, list[str]]:
     """Standalone manifest file for --lists: {"PD": ["path", ...], ...}."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         obj = decode_json(fh.read())
     if not _lists_by_name(obj):
         raise ValueError("lists manifest must map list names to arrays of paths")

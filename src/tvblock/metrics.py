@@ -162,43 +162,51 @@ def common_app_overlap(
 
     Apps match on normalized-name equality plus at least one shared
     developer token (names drift across stores; developers validate the
-    match). Global totals partition the union of all matched apps'
-    destinations into A-only / B-only / both.
+    match). Where two app ids of one dataset normalize to the same key, the
+    first one seen stands for it, with its first developer. Global totals
+    partition the union of all matched apps' destinations into A-only /
+    B-only / both. Destination sets are built for the matched apps only.
     """
     stops = stop_tokens if stop_tokens is not None else DEFAULT_STOP_TOKENS
 
-    def app_index(dataset: Dataset) -> dict[str, tuple[str, Optional[str], set[str]]]:
-        fqdns_per_app: dict[str, set[str]] = {}
-        for name, app_id, _ in dataset.contacts:
-            if app_id is not None:
-                fqdns_per_app.setdefault(app_id, set()).add(name)
-        developer = dataset.first_developers()
-        index: dict[str, tuple[str, Optional[str], set[str]]] = {}
-        for app_id, fqdns in fqdns_per_app.items():
+    def first_apps(dataset: Dataset) -> dict[str, tuple[str, Optional[str]]]:
+        """Each normalized key: the first app id seen with it, and its first developer."""
+        firsts: dict[str, tuple[str, Optional[str]]] = {}
+        for app_id, developer in dataset.first_developers().items():
             key = normalize_app_name(app_id, stops)
             if key:
-                index.setdefault(key, (app_id, developer[app_id], fqdns))
-        return index
+                firsts.setdefault(key, (app_id, developer))
+        return firsts
+
+    def names_per_app(dataset: Dataset, apps: set[str]) -> dict[str, set[str]]:
+        per_app: dict[str, set[str]] = {}
+        for name, app_id, _ in dataset.contacts:
+            if app_id in apps:
+                per_app.setdefault(app_id, set()).add(name)
+        return per_app
 
     def dev_tokens(dev: Optional[str]) -> set[str]:
         return {t for t in tokenize(dev or "", stops) if len(t) >= 3}
 
-    index_a = app_index(dataset_a)
-    index_b = app_index(dataset_b)
+    firsts_a = first_apps(dataset_a)
+    firsts_b = first_apps(dataset_b)
+    pairs = []  # (app_a, app_b, developer) of each match, by key
+    for key in sorted(firsts_a.keys() & firsts_b.keys()):
+        (app_a, dev_a), (app_b, dev_b) = firsts_a[key], firsts_b[key]
+        if dev_tokens(dev_a) & dev_tokens(dev_b):
+            pairs.append((app_a, app_b, dev_a or dev_b or ""))
+    names_a = names_per_app(dataset_a, {app_a for app_a, _, _ in pairs})
+    names_b = names_per_app(dataset_b, {app_b for _, app_b, _ in pairs})
     matches = []
     union_a: set[str] = set()
     union_b: set[str] = set()
-    for key in sorted(index_a.keys() & index_b.keys()):
-        app_a, dev_a, fqdns_a = index_a[key]
-        app_b, dev_b, fqdns_b = index_b[key]
-        shared_dev = dev_tokens(dev_a) & dev_tokens(dev_b)
-        if not shared_dev:
-            continue
+    for app_a, app_b, developer in pairs:
+        fqdns_a, fqdns_b = names_a[app_a], names_b[app_b]
         matches.append(
             AppOverlap(
                 app_a=app_a,
                 app_b=app_b,
-                developer=dev_a or dev_b or "",
+                developer=developer,
                 only_a=frozenset(fqdns_a - fqdns_b),
                 only_b=frozenset(fqdns_b - fqdns_a),
                 both=frozenset(fqdns_a & fqdns_b),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 # Re-exported: these live in the leaf module so the list loaders need not
@@ -418,20 +419,35 @@ def index_contacts(
     """Fold flow records, then transactions, into the Dataset under ``label``.
 
     Each item is consumed once and not kept, so streams from a log reader
-    are indexed without holding their records. The platform is the declared
-    one, else the first record's, else the first transaction's.
+    are indexed without holding their records. Each name, app id and
+    developer kept is interned (``sys.intern``): the ``names`` keys and the
+    contacts share one object per distinct string, also with every other
+    Dataset in the process. The platform is the declared one, else the
+    first record's, else the first transaction's.
     """
     flows: dict[str, int] = {}
     contacts: dict[Contact, None] = {}
     paths: set[str] = set()
+
+    def add(contact: Contact) -> str:
+        # A new name is always in a new contact, so it enters ``flows`` interned.
+        if contact not in contacts:
+            name, app, developer = contact
+            contact = (
+                sys.intern(name),
+                None if app is None else sys.intern(app),
+                None if developer is None else sys.intern(developer),
+            )
+            contacts[contact] = None
+        return contact[0]
+
     for rec in records:
         platform = platform or rec.platform
-        flows[rec.fqdn] = flows.get(rec.fqdn, 0) + 1
-        contacts[rec.fqdn, rec.app_id, rec.developer] = None
+        name = add((rec.fqdn, rec.app_id, rec.developer))
+        flows[name] = flows.get(name, 0) + 1
     for tx in transactions:
         platform = platform or tx.platform
-        flows.setdefault(tx.fqdn, 0)
-        contacts[tx.fqdn, tx.app_id, tx.developer] = None
+        flows.setdefault(add((tx.fqdn, tx.app_id, tx.developer)), 0)
         paths.add(tx.uri.split("?", 1)[0])
     names = {name: (is_ip_literal(name), count) for name, count in flows.items()}
     return Dataset(label, names, tuple(contacts), len(paths), platform)

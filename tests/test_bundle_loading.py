@@ -6,6 +6,7 @@ three "first developer" rules hang on it), summary and platform as the
 Dataset folded from the same records and transactions held in lists.
 """
 
+import gc
 import json
 import os
 import tempfile
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_CONFIG, CORPUS_DIR, DATA_DIR, Capture, dataset
 from test_contact_index import contact, flow, http, random_dataset
+from tvblock import cli, metrics
 from tvblock.blocklists import build_list
 from tvblock.cli import load_bundle, main, write_bundle
+from tvblock.party import ClassificationContext
 from tvblock.traffic import Platform, dataset_summary, parse_flow_log, parse_http_log
 
 
@@ -184,3 +187,58 @@ class TestMemory:
         capsys.readouterr()
         assert sum(bl.entry_count for bl in whole) > 160_000
         assert growth < held / 4, (growth, held)
+
+    def test_dataset_holds_each_distinct_string_once(self, tmp_path):
+        """Each kept name, app id and developer is one object however many
+        lines spell it, in one bundle and across two."""
+        loaded = []
+        for stem, step in [("a", 1), ("b", -1)]:
+            lines = [(f"host{i % 3}.example.com", f"app{i % 4}", f"Dev {i % 2}") for i in range(24)]
+            lines = lines[::step]
+            capture = Capture(
+                label=stem,
+                records=[flow("Roku", name, app, dev, ts) for ts, (name, app, dev) in enumerate(lines)],
+                transactions=[http("Roku", name, app, dev) for name, app, dev in lines[:5]],
+            )
+            write_bundle(str(tmp_path / stem), *capture)
+            loaded.append(load_bundle(str(tmp_path / stem)))
+        seen = {}
+        for ds in loaded:
+            keys = {name: name for name in ds.names}
+            assert len(ds.contacts) == 12
+            for contact in ds.contacts:
+                assert contact[0] is keys[contact[0]], contact
+                for value in contact:
+                    assert seen.setdefault(value, value) is value, contact
+        assert len(seen) == 3 + 4 + 2
+
+    def test_evaluate_holds_one_classification_context_at_a_time(self, tmp_path, monkeypatch, capsys):
+        """No context is alive when the next bundle's is built, nor at the overlap."""
+        bundles = []
+        for label, stem in [("Roku", "roku"), ("FireTV", "firetv")]:
+            bundles += ["--bundle", str(tmp_path / stem)]
+            write_bundle(bundles[-1], *corpus_dataset(label, stem, Platform(label)))
+
+        def live_contexts():
+            return sum(isinstance(o, ClassificationContext) for o in gc.get_objects())
+
+        entries = []
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                entries.append((name, live_contexts()))
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "_build_ctx", counted("_build_ctx", cli._build_ctx))
+        monkeypatch.setattr(
+            metrics, "common_app_overlap", counted("common_app_overlap", metrics.common_app_overlap)
+        )
+        gc.collect()
+        before = live_contexts()
+        argv = ["evaluate", "--config", CORPUS_CONFIG, *bundles, "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert entries == [
+            ("_build_ctx", before), ("_build_ctx", before), ("common_app_overlap", before)
+        ]

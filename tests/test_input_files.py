@@ -312,6 +312,55 @@ def test_input_logs_with_a_byte_order_mark_build_the_same_bundle(corpus, tmp_pat
         assert (bundle / name).read_bytes() == (corpus / "bundle" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        ("classify", "config"),
+        ("evaluate", "lists"),
+        ("scan-pii", "pii_spec_path"),
+        ("evaluate", "org_esld_path"),
+        ("evaluate", "org_parent_path"),
+        ("evaluate", "ats_labels_path"),
+        ("classify", "platform_processes_path"),
+    ],
+)
+def test_hand_written_file_with_a_byte_order_mark_reads_as_without(corpus, tmp_path, command, kind):
+    """The config file, the lists manifest and each side file a config names
+    give the same outputs, exit 0 and no warning with or without a BOM."""
+    config = _absolute_corpus_config(platform_processes_path=str(corpus / "processes.jsonl"))
+
+    def run(encoding):
+        work = tmp_path / encoding
+        work.mkdir()
+
+        def save(name, text, file_encoding):
+            path = work / name
+            path.write_text(text, encoding=file_encoding)
+            path.chmod(0o600)  # scan-pii warns about a world-readable PII spec
+            return path
+
+        cfg, argv = dict(config), []
+        if kind == "lists":
+            argv = ["--lists", save("lists.json", json.dumps(cfg["lists"]), encoding)]
+        elif kind != "config":
+            with open(cfg[kind], encoding="utf-8") as fh:
+                cfg[kind] = str(save(os.path.basename(cfg[kind]), fh.read(), encoding))
+        cfg_path = save("cfg.json", json.dumps(cfg), encoding if kind == "config" else "utf-8")
+        out = work / "out"
+        code, _, err = _main(
+            command, "--bundle", corpus / "bundle", "--config", cfg_path, *argv, "--out", out
+        )
+        outputs = {}
+        for name in sorted(os.listdir(out)) if out.exists() else []:
+            lines = (out / name).read_text(encoding="utf-8").splitlines()
+            outputs[name] = [line for line in lines if "generated_at" not in line]
+        return code, err, outputs
+
+    plain = run("utf-8")
+    assert plain[:2] == (0, "")
+    assert run("utf-8-sig") == plain
+
+
 def test_lists_manifest_with_a_path_that_is_no_string_exits_2(corpus, tmp_path):
     manifest = tmp_path / "lists.json"
     manifest.write_text('{"PD": [1]}')

@@ -203,6 +203,43 @@ class TestOverlap:
         assert report.total_only_b == 1
         assert report.total_both == 1
 
+    def test_first_app_seen_under_a_key_is_the_one_matched(self):
+        """Of two app ids that normalize alike, the first seen stands for the
+        key with its own destinations and first developer; a key that one
+        dataset holds alone adds nothing."""
+        a = dataset(
+            label="A",
+            records=[
+                flow("Newsy", "first.example.com", "Newsy Media"),
+                flow("NEWSY!", "second.example.com", "Newsy Media"),
+                flow("Solo App", "solo.example.com", "Newsy Media"),
+            ],
+        )
+        b = dataset(
+            label="B",
+            records=[
+                flow("newsy", "first.example.com", "Newsy Media", platform="FireTV"),
+                flow("news-y", "third.example.com", "Newsy Media", platform="FireTV"),
+            ],
+        )
+        report = common_app_overlap(a, b)
+        assert [(m.app_a, m.app_b) for m in report.apps] == [("Newsy", "newsy")]
+        assert report.apps[0].both == {"first.example.com"}
+        assert report.apps[0].only_a == report.apps[0].only_b == frozenset()
+        assert (report.total_only_a, report.total_only_b, report.total_both) == (0, 0, 1)
+
+    def test_first_app_seen_under_a_key_brings_its_first_developer(self):
+        a = dataset(
+            label="A",
+            records=[
+                flow("Newsy", "a.com", "Alpha Media"),
+                flow("NEWSY", "b.com", "Beta Group"),
+            ],
+        )
+        b = dataset(label="B", records=[flow("newsy", "b.com", "Beta Group", platform="FireTV")])
+        assert common_app_overlap(a, b).common_app_count == 0
+        assert common_app_overlap(b, a).common_app_count == 0
+
 
 def exposure(kind, party, blocked, app="App"):
     return ExposureRecord(
