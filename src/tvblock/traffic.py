@@ -430,7 +430,8 @@ def index_contacts(
     paths: set[str] = set()
 
     def add(contact: Contact) -> str:
-        # A new name is always in a new contact, so it enters ``flows`` interned.
+        # Returns the name. A name new to ``flows`` is in a new contact, so
+        # it enters ``flows`` interned; a dict keeps the key it first got.
         if contact not in contacts:
             name, app, developer = contact
             contact = (
