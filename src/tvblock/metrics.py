@@ -62,8 +62,8 @@ def fqdn_app_counts(dataset: Dataset) -> dict[str, int]:
     Destinations seen only in unattributed traffic (and IP literals) do not
     appear; app-level metrics exclude them.
     """
-    names, per_name = dataset.names, dataset.apps_per_name()
-    return {name: len(apps) for name, apps in per_name.items() if not names[name][0]}
+    names = dataset.names
+    return {name: count for name, count in dataset.app_counts().items() if not names[name][0]}
 
 
 class CurveRow(NamedTuple):

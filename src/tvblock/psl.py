@@ -12,6 +12,14 @@ A lookup is one walk over the name's suffixes, shortest first, with three
 set lookups per suffix, so its cost grows with the name's labels and not
 with the number of rules.
 
+A non-ASCII rule also matches in its punycode form, its "twin". Most twins
+hold an "xn--" label, so only a name holding "xn--" can match them; those
+twins are built on the first lookup of such a name, and a process that never
+sees one never loads the IDNA codec. A rule with a label that nameprep maps
+to plain ASCII (a fullwidth letter, a ligature, "ß") has its twin built at
+load, since any name may match it. Either way every answer is the one all
+twins built at load would give.
+
 Rules files use the canonical public_suffix_list.dat format: "//" comments,
 "*." wildcards, "!" exceptions, and ICANN/PRIVATE section markers. A leading
 byte order mark is ignored. A "*" counts only as the whole leftmost label
@@ -22,14 +30,29 @@ skipped.
 
 from __future__ import annotations
 
+import re
+
 from .text import is_ip_literal, normalize_fqdn
 
 Labels = tuple[str, ...]
+# Rules of one load, indexed like (normal, wildcard, exception).
+RulesByKind = tuple[list[Labels], list[Labels], list[Labels]]
 
 _ICANN_BEGIN = "===BEGIN ICANN DOMAINS==="
 _ICANN_END = "===END ICANN DOMAINS==="
 _PRIVATE_BEGIN = "===BEGIN PRIVATE DOMAINS==="
 _PRIVATE_END = "===END PRIVATE DOMAINS==="
+
+# Every non-ASCII code point that nameprep deletes or maps to plain ASCII
+# (found by running encodings.idna.ToASCII over all of them), widened over
+# the symbols between them: a label holding none of these gets an "xn--" form
+# or none. Letters of ordinary scripts (ü, ø, Cyrillic, Arabic, CJK, kana)
+# lie outside it. tests/test_psl.py checks it against ToASCII.
+_MAY_MAP_TO_ASCII = re.compile(
+    r"[\u00a0-\u00bf\u00df\u0132\u0133\u017f\u01c7-\u01cc\u01f1-\u01f3\u02b0-\u02ff"
+    r"\u034f\u037e\u1806-\u180d\u1e9e\u1fef\u2000-\u2bff\u3000\u3200-\u33ff"
+    r"\ufb00-\ufb4f\ufe00-\ufe6f\ufeff-\uff5e\U0001d400-\U0001d7ff]"
+)
 
 
 class PslError(ValueError):
@@ -60,24 +83,43 @@ class SuffixRules:
     """Parsed PSL rules as label tuples, partitioned by rule class.
 
     ``wildcard`` rules keep their leading "*" label; ``exception`` rules
-    drop their "!". ``len()`` is the rule count. Immutable after load;
-    lookups are pure.
+    drop their "!". Each set also holds the punycode twins built so far:
+    ``deferred`` rules get theirs on the first lookup of a name holding
+    "xn--" (``build_deferred_twins``), which grows the sets once. Lookups
+    give the same answers before and after. ``len()`` is the number of
+    rules as read, without twins.
     """
 
-    __slots__ = ("normal", "wildcard", "exception")
+    __slots__ = ("normal", "wildcard", "exception", "_count", "_deferred")
 
     def __init__(
         self,
         normal: frozenset[Labels],
         wildcard: frozenset[Labels],
         exception: frozenset[Labels],
+        deferred: RulesByKind | None = None,
     ) -> None:
         self.normal = normal
         self.wildcard = wildcard
         self.exception = exception
+        self._count = len(normal) + len(wildcard) + len(exception)
+        self._deferred = deferred
 
     def __len__(self) -> int:
-        return len(self.normal) + len(self.wildcard) + len(self.exception)
+        return self._count
+
+    def _add_twins(self, rules: RulesByKind) -> None:
+        """Hold the punycode twin of each of ``rules`` beside it."""
+        self.normal, self.wildcard, self.exception = (
+            held.union(filter(None, map(_punycode_twin, new))) if new else held
+            for held, new in zip((self.normal, self.wildcard, self.exception), rules)
+        )
+
+    def build_deferred_twins(self) -> None:
+        """Add the twins of the deferred rules, once."""
+        if self._deferred:
+            self._add_twins(self._deferred)
+            self._deferred = None
 
 
 def _punycode_twin(labels: Labels) -> Labels | None:
@@ -102,12 +144,13 @@ def load_psl(text: str, include_private: bool = True) -> SuffixRules:
     Both the ICANN and PRIVATE sections load by default; pass
     include_private=False to restrict to ICANN rules. Rules outside any
     section marker (ad-hoc files) are treated as ICANN. Non-ASCII rules also
-    register their punycoded form so punycoded query names match. A "*"
-    other than a non-exception rule's leftmost label skips its rule.
+    match in their punycoded form; most of those forms are built only once
+    a punycoded name is looked up (see the module docstring). A "*" other
+    than a non-exception rule's leftmost label skips its rule.
     """
-    normal: set[Labels] = set()
-    wildcard: set[Labels] = set()
-    exception: set[Labels] = set()
+    held: tuple[set[Labels], set[Labels], set[Labels]] = (set(), set(), set())
+    eager: RulesByKind = ([], [], [])
+    deferred: RulesByKind = ([], [], [])
     section = "icann"
     for raw_line in text.splitlines():
         line = raw_line.strip()
@@ -133,14 +176,16 @@ def load_psl(text: str, include_private: bool = True) -> SuffixRules:
         is_wildcard = labels[0] == "*" and not is_exception
         if "*" in "".join(labels[1:] if is_wildcard else labels):
             continue
-        target = exception if is_exception else wildcard if is_wildcard else normal
-        target.add(labels)
-        twin = _punycode_twin(labels)
-        if twin:
-            target.add(twin)
-    if not normal and not wildcard and not exception:
+        kind = 2 if is_exception else 1 if is_wildcard else 0
+        held[kind].add(labels)
+        if not rule.isascii():
+            (eager if _MAY_MAP_TO_ASCII.search(rule) else deferred)[kind].append(labels)
+    if not any(held):
         raise EmptyRuleSet("no rules parsed from PSL text")
-    return SuffixRules(frozenset(normal), frozenset(wildcard), frozenset(exception))
+    rules = SuffixRules(*map(frozenset, held), deferred=deferred if any(deferred) else None)
+    if any(eager):
+        rules._add_twins(eager)
+    return rules
 
 
 def load_psl_file(path: str, include_private: bool = True) -> SuffixRules:
@@ -148,7 +193,8 @@ def load_psl_file(path: str, include_private: bool = True) -> SuffixRules:
         return load_psl(fh.read(), include_private=include_private)
 
 
-def _normalize_query(fqdn: str) -> Labels:
+def _resolve(fqdn: str, rules: SuffixRules) -> tuple[Labels, int]:
+    """A query name's labels and how many of them form its public suffix."""
     name = normalize_fqdn(fqdn)
     if not name:
         raise InvalidDomain("empty domain")
@@ -157,7 +203,12 @@ def _normalize_query(fqdn: str) -> Labels:
     labels = tuple(name.split("."))
     if any(not lab for lab in labels):
         raise InvalidDomain(f"empty label in {fqdn!r}")
-    return labels
+    if len(rules) == 0:
+        raise NoMatch("rule set is empty")
+    # A deferred twin holds an "xn--" label, so only such a name can match it.
+    if "xn--" in name:
+        rules.build_deferred_twins()
+    return labels, _prevailing_suffix_len(labels, rules)
 
 
 def public_suffix(fqdn: str, rules: SuffixRules) -> str:
@@ -166,10 +217,7 @@ def public_suffix(fqdn: str, rules: SuffixRules) -> str:
     Falls back to the implicit "*" rule (the last label) when no explicit
     rule matches, per the published algorithm.
     """
-    labels = _normalize_query(fqdn)
-    if len(rules) == 0:
-        raise NoMatch("rule set is empty")
-    suffix_len = _prevailing_suffix_len(labels, rules)
+    labels, suffix_len = _resolve(fqdn, rules)
     return ".".join(labels[len(labels) - suffix_len:])
 
 
@@ -197,10 +245,7 @@ def esld(fqdn: str, rules: SuffixRules) -> str:
     input. Raises IsPublicSuffix when the name itself is a public suffix,
     IpLiteral for addresses, and NoMatch against an empty rule set.
     """
-    labels = _normalize_query(fqdn)
-    if len(rules) == 0:
-        raise NoMatch("rule set is empty")
-    suffix_len = _prevailing_suffix_len(labels, rules)
+    labels, suffix_len = _resolve(fqdn, rules)
     if suffix_len >= len(labels):
         raise IsPublicSuffix(f"{'.'.join(labels)} is a public suffix")
     return ".".join(labels[len(labels) - suffix_len - 1:])

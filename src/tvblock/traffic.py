@@ -393,13 +393,26 @@ class Dataset(NamedTuple):
         """Distinct attributed apps."""
         return {app for _, app, _ in self.contacts if app is not None}
 
-    def apps_per_name(self) -> dict[str, set[str]]:
-        """Distinct attributed apps per name, for names with at least one."""
-        per_name: dict[str, set[str]] = {}
+    def app_counts(self) -> dict[str, int]:
+        """Number of distinct attributed apps per name, for names with at least one.
+
+        Contacts are distinct triples, so a (name, app) pair repeats only
+        under an app seen with more than one developer; only such apps'
+        pairs are remembered.
+        """
+        first = self.first_developers()
+        several = {app for _, app, dev in self.contacts if app is not None and dev != first[app]}
+        counts: dict[str, int] = {}
+        seen: set[tuple[str, str]] = set()
         for name, app, _ in self.contacts:
-            if app is not None:
-                per_name.setdefault(name, set()).add(app)
-        return per_name
+            if app is None:
+                continue
+            if app in several:
+                if (name, app) in seen:
+                    continue
+                seen.add((name, app))
+            counts[name] = counts.get(name, 0) + 1
+        return counts
 
     def first_developers(self, known_only: bool = False) -> dict[str, Optional[str]]:
         """First developer seen per app; with known_only, the first non-None one."""
@@ -469,7 +482,7 @@ def dataset_summary(ds: Dataset) -> DatasetSummary:
     attribution do not contribute to app-level counts. URI paths are the
     path component (query string stripped) of transactions.
     """
-    multi = sum(1 for apps in ds.apps_per_name().values() if len(apps) >= 2)
+    multi = sum(1 for count in ds.app_counts().values() if count >= 2)
     return DatasetSummary(
         app_count=len(ds.apps()),
         distinct_fqdn_count=len(ds.names),

@@ -116,6 +116,30 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
     assert loaded == {name: [] for name in commands}
 
 
+def test_no_offline_command_loads_the_idna_codec(tmp_path):
+    """The corpus PSL holds non-ASCII rules, but no corpus name holds an
+    "xn--" label, so no command builds a punycode twin or loads the codec
+    and the Unicode tables behind it."""
+    ingest_and_scan(str(tmp_path))
+    config = os.path.join(DATA, "corpus_config.json")
+    roku, firetv = str(tmp_path / "roku"), str(tmp_path / "firetv")
+    commands = {
+        "scan-pii": ["scan-pii", "--config", config, "--bundle", roku],
+        "evaluate": ["evaluate", "--config", config, "--bundle", roku, "--bundle", firetv,
+                     "--out", str(tmp_path / "report")],
+        "classify": ["classify", "--config", config, "--bundle", roku,
+                     "--out", str(tmp_path / "cls")],
+    }
+    loaded = {
+        name: _loaded_after(
+            f"from tvblock import cli\nassert cli.main({argv!r}) == 0",
+            ["encodings.idna", "stringprep", "unicodedata"],
+        )
+        for name, argv in commands.items()
+    }
+    assert loaded == {name: [] for name in commands}
+
+
 def _has_builtin_digests() -> bool:
     try:
         import _md5, _sha1  # noqa: F401

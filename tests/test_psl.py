@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -174,6 +175,72 @@ class TestEsld:
         assert answers == {"0": ["a.b.c.d", "b.c.d"], "1": ["a.b.c.d", "b.c.d"]}
 
 
+class TestDeferredTwins:
+    """A non-ASCII rule's punycode twin is built on the first lookup of an
+    "xn--" name, unless nameprep maps one of its labels to plain ASCII."""
+
+    def test_ascii_lookups_load_no_idna_codec_and_an_xn_name_builds_the_twins(self):
+        code = (
+            "import json, sys\n"
+            "from tvblock.psl import esld, load_psl_file\n"
+            f"rules = load_psl_file({PSL_PATH!r})\n"
+            "codec = ('encodings.idna', 'stringprep', 'unicodedata')\n"
+            "answers = [esld(n, rules) for n in ('www.example.com', 'a.shop.公司.cn', 'shishi.中国')]\n"
+            "before = [m for m in codec if m in sys.modules]\n"
+            "size = len(rules)\n"
+            "answers.append(esld('www.shop.xn--55qx5d.cn', rules))\n"
+            "print(json.dumps([answers, before, size, len(rules), 'encodings.idna' in sys.modules]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(psl.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        answers, before, size, size_after, codec_after = json.loads(out)
+        assert answers == ["example.com", "shop.公司.cn", "shishi.中国", "shop.xn--55qx5d.cn"]
+        assert before == [] and codec_after
+        assert size == size_after == 127  # rules as read, no twins
+
+    @pytest.mark.parametrize(
+        "rule,name,expected",
+        [
+            ("ｅｘａｍｐｌｅ.com", "a.b.example.com", ("b.example.com", "example.com")),
+            ("faß.de", "a.b.fass.de", ("b.fass.de", "fass.de")),
+            ("!ｗｗｗ.ck\n*.ck", "a.www.ck", ("www.ck", "ck")),
+            ("*.ﬁ.no", "a.b.fi.no", ("a.b.fi.no", "b.fi.no")),
+        ],
+    )
+    def test_rule_that_nameprep_maps_to_ascii_matches_ascii_names_at_once(self, rule, name, expected):
+        rules = load_psl(rule)
+        assert (esld(name, rules), public_suffix(name, rules)) == expected
+        # Building the deferred twins changes no answer.
+        rules.build_deferred_twins()
+        assert (esld(name, rules), public_suffix(name, rules)) == expected
+
+    def test_every_label_outside_the_screen_punycodes_to_xn_or_fails(self):
+        """A deferred twin is exact only if every label of it starts with
+        "xn--": any code point the screen lets through, beside an ASCII letter
+        (so that a deletion shows), gives an "xn--" form or no form at all.
+        Planes 0 and 1 in full, a sample of the rest."""
+        from encodings.idna import ToASCII
+
+        rest = random.Random(0).sample(range(0x20000, 0x110000), 5000)
+        leaks = []
+        for cp in itertools.chain(range(0x80, 0xD800), range(0xE000, 0x20000), rest):
+            char = chr(cp)
+            if psl._MAY_MAP_TO_ASCII.match(char):
+                continue
+            try:
+                form = ToASCII("a" + char)
+            except UnicodeError:
+                continue
+            if not form.startswith(b"xn--"):
+                leaks.append(hex(cp))
+        assert leaks == []
+        # Letters of ordinary scripts stay deferred.
+        assert not psl._MAY_MAP_TO_ASCII.search("üøåçжعשक公かカ한")
+
+
 class TestOfficialVectors:
     def test_conformance(self, rules):
         cases = load_vectors()
@@ -192,11 +259,15 @@ class TestOfficialVectors:
 # -- properties ---------------------------------------------------------------
 
 RULES = psl.load_psl_file(PSL_PATH)
-# Every rule of the snapshot as a name suffix, wildcards filled in, so that
-# generated names hit normal, wildcard and exception rules alike.
+# The same rules with every punycode twin built at load.
+TWINNED = psl.load_psl_file(PSL_PATH)
+TWINNED.build_deferred_twins()
+# Every rule of the snapshot and every twin as a name suffix, wildcards
+# filled in, so that generated names hit normal, wildcard and exception
+# rules alike, in Unicode and in punycode.
 SUFFIXES = sorted(
     ".".join("w" if label == "*" else label for label in rule)
-    for rule in RULES.normal | RULES.wildcard | RULES.exception
+    for rule in TWINNED.normal | TWINNED.wildcard | TWINNED.exception
 )
 LABEL = st.text(alphabet="abcxyz019-", min_size=1, max_size=6)
 NAMES = st.one_of(
@@ -238,6 +309,22 @@ class TestEsldProperties:
             return
         normalized = normalize_fqdn(name)
         assert normalized == result or normalized.endswith("." + result)
+
+    @given(st.lists(NAMES, min_size=1, max_size=4))
+    def test_deferred_twins_answer_as_twins_built_at_load(self, names):
+        fresh = psl.load_psl_file(PSL_PATH)
+
+        def answers(rules):
+            out = []
+            for name in names:
+                for lookup in (esld, public_suffix):
+                    try:
+                        out.append(lookup(name, rules))
+                    except psl.PslError as exc:
+                        out.append(type(exc).__name__)
+            return out
+
+        assert answers(fresh) == answers(TWINNED)
 
 
 # -- against the published algorithm ------------------------------------------

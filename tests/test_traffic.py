@@ -200,6 +200,19 @@ class TestDatasetSummary:
         assert summary.multi_app_fqdn_count == 1
         assert summary.distinct_uri_path_count == 0
 
+    def test_app_under_several_developers_counts_once_per_name(self):
+        """App x reaches a.x in three contacts, under no developer and two
+        others; it still counts once there."""
+        contacts = [("a.x", "x", None), ("a.x", "x", "D1"), ("b.x", "x", "D1"),
+                    ("a.x", "x", "D2"), ("b.x", "y", "E"), ("c.x", None, None)]
+        ds = dataset(label="devs", records=[
+            FlowRecord(device_id="d", platform=Platform("Roku"), fqdn=fqdn, start_time=0,
+                       app_id=app, developer=dev)
+            for fqdn, app, dev in contacts
+        ])
+        assert ds.app_counts() == {"a.x": 1, "b.x": 2}
+        assert dataset_summary(ds).multi_app_fqdn_count == 1
+
     def test_empty_dataset_is_all_zeros(self):
         summary = dataset_summary(dataset(label="empty", platform=Platform("Roku")))
         assert (
