@@ -35,6 +35,7 @@ RCODE_NOERROR = 0
 RCODE_FORMERR = 1
 RCODE_SERVFAIL = 2
 RCODE_NXDOMAIN = 3
+RCODE_NOTIMP = 4
 
 MAX_UDP_PAYLOAD = 512
 

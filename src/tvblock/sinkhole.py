@@ -53,8 +53,8 @@ class BindFailure(OSError):
 class Outcome(NamedTuple):
     """respond()'s verdict on one query datagram and what to log about it."""
 
-    response: Optional[bytes]  # the answer; None: forward the query upstream
-    verdict: str  # the log verdict: "blocked", "forwarded", "malformed" or "upstream_error"
+    response: Optional[bytes]  # the answer; None: forward the query upstream; b"": send nothing
+    verdict: str  # "blocked", "forwarded", "malformed", "dropped" or "upstream_error"
     qname: str = ""
     qtype: str = ""
     blocked_by: frozenset[str] = frozenset()
@@ -62,9 +62,15 @@ class Outcome(NamedTuple):
 
 
 def respond(data: bytes, lists: Sequence[BlockList], cfg: SinkholeConfig) -> Outcome:
-    """Decide one query datagram under a list snapshot; no I/O, no clock. Without one parsable
-    question: FORMERR. Blocked: ``answer_blocked``, echoing the question as sent. Else: forward."""
+    """Decide one query datagram under a list snapshot; no I/O, no clock. A response (QR set):
+    dropped, since an answer can loop. Another opcode: NOTIMP. Without one parsable question:
+    FORMERR. Blocked: ``answer_blocked``, echoing the question as sent. Else: forward."""
     try:
+        header = dnswire.parse_header(data)
+        if header.qr:
+            return Outcome(b"", "dropped")
+        if header.opcode:
+            return Outcome(dnswire.build_error_response(data, dnswire.RCODE_NOTIMP), "malformed")
         query = dnswire.parse_message(data)
         question = query.question
     except dnswire.WireError:
@@ -264,6 +270,7 @@ class Sinkhole:
             "upstream_errors": 0,
             "log_errors": 0,
             "shed": 0,
+            "dropped": 0,
         }
 
     # -- lifecycle -----------------------------------------------------
@@ -423,9 +430,9 @@ class Sinkhole:
                 self._answer(*answer)
 
     def _answer(self, addr, started: int, response: bytes, outcome: Outcome) -> None:
-        """Count the query, log it, then answer. So a client holding its answer
-        finds the entry logged, unless the write failed; that is counted under
-        log_errors and the answer goes out regardless."""
+        """Count the query, log it, then answer, unless the answer is empty. So a client
+        holding its answer finds the entry logged, unless the write failed; that is
+        counted under log_errors and the answer goes out regardless."""
         verdict = outcome.verdict
         self._counters["upstream_errors" if verdict == "upstream_error" else verdict] += 1
         self._counters["total"] += 1  # last: a snapshot never shows total above the verdicts
@@ -451,10 +458,11 @@ class Sinkhole:
                         "further failures are counted as log_errors only",
                         exc,
                     )
-        try:
-            self._sock.sendto(response, addr)
-        except OSError:
-            pass
+        if response:
+            try:
+                self._sock.sendto(response, addr)
+            except OSError:
+                pass
 
     # -- stats endpoint --------------------------------------------------
 

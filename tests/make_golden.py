@@ -7,10 +7,10 @@ holds the command, its exit code, its stdout and its stderr, with the work
 directory written as ``<work>`` and tests/data as ``<data>``.
 
 - ``ingest/``: for each corpus capture (Roku, FireTV) ``ingest`` with the
-  same arguments as CI's console-script step; the bundle's four files and
-  ``run.txt``.
-- ``scan_pii/``: ``scan-pii`` on each of those bundles, again with CI's
-  arguments; ``exposures.jsonl``, ``http.redacted.jsonl`` and ``run.txt``.
+  corpus config, its flow and HTTP logs, its label and its platform; the
+  bundle's four files and ``run.txt``.
+- ``scan_pii/``: ``scan-pii`` on each of those bundles with the corpus
+  config; ``exposures.jsonl``, ``http.redacted.jsonl`` and ``run.txt``.
   The corpus PII spec is world-readable in a checkout made under umask 022,
   so each transcript carries that warning. ``variants.json`` is the (kind,
   encoding, component, needle) list that ``pii.build_all_variants`` makes
@@ -25,7 +25,7 @@ directory written as ``<work>`` and tests/data as ``<data>``.
 - ``help/``: ``tvblock --help`` and each command's ``--help``, rendered 80
   columns wide.
 - ``evaluate/`` and ``classify/``: ``evaluate`` over both bundles and
-  ``classify`` over the Roku bundle, with CI's arguments.
+  ``classify`` over the Roku bundle, with the corpus config.
   ``evaluate_suffix_flow/`` reruns ``evaluate`` with ``--mode suffix`` and
   ``flow_weighted`` on. Each directory keeps every CSV below its
   ``# generated_at`` line, ``report.json`` without its ``generated_at``
@@ -34,6 +34,20 @@ directory written as ``<work>`` and tests/data as ``<data>``.
   and suffix match mode and in null and nxdomain blocking mode: the query
   and answer bytes in hex, and the Outcome's verdict, qname, qtype and
   blocked_by.
+
+``transformed_texts`` writes no golden. It reruns ``scan-pii`` on both
+bundles, then ``evaluate`` and ``classify``, under a copy of tests/data
+edited by one of ``TRANSFORMS``, none of which may change an output:
+
+- ``crlf_bom``: every list, the config, the org maps, the ATS labels and the
+  PII spec saved with CRLF line ends and a byte order mark;
+- ``padded_lists``: every list padded with 20,000 ``pad{i}.nowhere.test``
+  names that no capture holds;
+- ``padded_psl``: the PSL padded with 20,000 normal, ``*.`` and ``!`` rules
+  under the corpus's TLDs that match no captured name.
+
+Its transcripts scrub the copy as ``<data>``, so each one, stderr included,
+must equal the unedited golden.
 
 The goldens pin bytes; ``tests/reference_pipeline.py`` stays the oracle for
 correctness. A change that alters a golden file on purpose reruns this and
@@ -60,7 +74,7 @@ CONFIG = os.path.join(DATA, "corpus_config.json")
 GOLDEN = os.path.join(DATA, "golden")
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
-# bundle directory -> (--label, --platform), as in CI's console-script step
+# bundle directory -> (--label, --platform)
 BUNDLES = {"roku": ("Roku", "roku"), "firetv": ("FireTV", "firetv")}
 BUNDLE_FILES = ("flows.jsonl", "http.jsonl", "summary.json", "meta.json")
 OUTPUTS = ("exposures.jsonl", "http.redacted.jsonl")
@@ -104,7 +118,7 @@ PIPELINE_FILES = tuple(
 )
 
 
-def _transcript(work_dir: str, argv: list[str]) -> str:
+def _transcript(work_dir: str, argv: list[str], data: str = DATA) -> str:
     """Run one tvblock command as its own process; return its transcript."""
     pythonpath = [SRC, os.environ.get("PYTHONPATH")]
     env = {
@@ -119,7 +133,7 @@ def _transcript(work_dir: str, argv: list[str]) -> str:
     )
 
     def scrub(text: str) -> str:
-        return text.replace(work_dir, "<work>").replace(DATA, "<data>")
+        return text.replace(work_dir, "<work>").replace(data, "<data>")
 
     return (
         f"$ tvblock {scrub(' '.join(argv))}\nexit {proc.returncode}\n"
@@ -127,10 +141,12 @@ def _transcript(work_dir: str, argv: list[str]) -> str:
     )
 
 
-def _run_all(work_dir: str, commands: dict[str, list[str]]) -> dict[str, str]:
+def _run_all(work_dir: str, commands: dict[str, list[str]], data: str = DATA) -> dict[str, str]:
     """Each command's transcript, keyed as ``commands``; four run at a time."""
     with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = {key: pool.submit(_transcript, work_dir, argv) for key, argv in commands.items()}
+        futures = {
+            key: pool.submit(_transcript, work_dir, argv, data) for key, argv in commands.items()
+        }
     return {key: future.result() for key, future in futures.items()}
 
 
@@ -158,8 +174,8 @@ def _ingest_argv(name: str, out: str, flows: str = "", http: str = "") -> list[s
     ]
 
 
-def _scan_argv(bundle: str) -> list[str]:
-    return ["scan-pii", "--config", CONFIG, "--bundle", bundle]
+def _scan_argv(bundle: str, config: str = CONFIG) -> list[str]:
+    return ["scan-pii", "--config", config, "--bundle", bundle]
 
 
 def ingest_and_scan(work_dir: str) -> dict[str, str]:
@@ -281,6 +297,57 @@ def pipeline_outputs(work_dir: str) -> dict[str, str]:
     })
     for run in commands:
         texts.update(_run_outputs(work_dir, run))
+    return texts
+
+
+# What transformed_texts may do to a copy of tests/data without changing an output.
+TRANSFORMS = ("crlf_bom", "padded_lists", "padded_psl")
+
+
+def transformed_texts(work_dir: str, transform: str) -> dict[str, str]:
+    """scan-pii on both bundles that ingest_and_scan left in ``work_dir``, then evaluate and
+    classify as pipeline_outputs runs them, on fresh copies of those bundles and under a copy
+    of tests/data that ``transform`` edits; each golden text keyed by its path below GOLDEN."""
+    data, work = (os.path.join(work_dir, transform, name) for name in ("data", "work"))
+    shutil.copytree(DATA, data, ignore=shutil.ignore_patterns("golden"))
+    lists = [os.path.join(data, "lists", name) for name in sorted(os.listdir(f"{data}/lists"))]
+    if transform == "crlf_bom":
+        side = ("corpus_config.json", "org_esld.jsonl", "org_parent.jsonl", "ats_labels.jsonl",
+                "corpus/pii_spec.json")
+        for path in lists + [os.path.join(data, name) for name in side]:
+            text = _read(path)
+            with open(path, "w", encoding="utf-8-sig", newline="\r\n") as fh:
+                fh.write(text)
+    elif transform == "padded_lists":
+        for path in lists:
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("".join(f"0.0.0.0 pad{i}.nowhere.test\n" for i in range(20000)))
+    elif transform == "padded_psl":
+        kinds, tlds = ("", "*.", "!www."), ("com", "net", "tv", "io", "org", "uk")
+        with open(os.path.join(data, "public_suffix_list.dat"), "a", encoding="utf-8") as fh:
+            fh.write("".join(f"{kinds[i % 3]}pad{i}.{tlds[i // 3 % 6]}\n" for i in range(20000)))
+    else:
+        raise ValueError(f"unknown transform {transform!r}")
+    bundle = {name: os.path.join(work, name) for name in BUNDLES}
+    for name, path in bundle.items():  # the four ingest files, without the scan's outputs
+        shutil.copytree(os.path.join(work_dir, name), path, ignore=shutil.ignore_patterns(*OUTPUTS))
+
+    config = os.path.join(data, "corpus_config.json")
+    texts = _run_all(work, {
+        f"scan_pii/{name}/run.txt": _scan_argv(path, config) for name, path in bundle.items()
+    }, data)
+    for name, path in bundle.items():
+        for output in OUTPUTS:
+            texts[f"scan_pii/{name}/{output}"] = _read(os.path.join(path, output))
+    roku, firetv = bundle["roku"], bundle["firetv"]
+    texts.update(_run_all(work, {
+        "evaluate/run.txt": ["evaluate", "--config", config, "--bundle", roku, "--bundle", firetv,
+                             "--out", os.path.join(work, "evaluate")],
+        "classify/run.txt": ["classify", "--config", config, "--bundle", roku,
+                             "--out", os.path.join(work, "classify")],
+    }, data))
+    for run in ("evaluate", "classify"):
+        texts.update(_run_outputs(work, run))
     return texts
 
 

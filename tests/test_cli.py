@@ -615,6 +615,24 @@ class TestClassify:
         assert text[1] == "platform,app_id,developer,esld,party"
         assert any("platform" in line and "roku.com" in line for line in text[2:])
 
+    def test_punycode_name_resolves_through_a_twin(self, tmp_path, capsys):
+        """A name under the punycode form of the corpus PSL's 公司.cn rule gets
+        the eSLD that the twin its lookup builds gives."""
+        flows = tmp_path / "flows.jsonl"
+        flows.write_text("".join(
+            json.dumps({"device_id": "d", "platform": "Roku", "app_id": "Shop",
+                        "developer": "Shop Inc", "fqdn": fqdn, "start_time": t}) + "\n"
+            for t, fqdn in enumerate(("cdn.shop.xn--55qx5d.cn", "www.example.com"), 1)
+        ))
+        bundle, out = tmp_path / "bundle", tmp_path / "cls"
+        assert run(capsys, "ingest", "--config", CORPUS_CONFIG, "--flows", str(flows),
+                   "--out", str(bundle))[0] == 0
+        assert run(capsys, "classify", "--config", CORPUS_CONFIG, "--bundle", str(bundle),
+                   "--out", str(out))[0] == 0
+        with open(out / "classifications.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh.readlines()[1:]))
+        assert {row["esld"] for row in rows} == {"shop.xn--55qx5d.cn", "example.com"}
+
 
 class TestVersion:
     def test_version_prints(self, capsys):

@@ -262,11 +262,14 @@ class TestReplyBytes:
         )
 
     def test_blocked_nxdomain_clears_aa_tc_z_and_keeps_opcode(self):
-        # opcode 2, AA, TC, RD, RA, Z = 7 and rcode 5 in the query
-        query = f"4242 17f5 0001 0000 0000 0000 {QNAME_HEX} 0001 0001"
+        # AA, TC, RD, RA, Z = 7 and rcode 5 in the query
+        query = f"4242 07f5 0001 0000 0000 0000 {QNAME_HEX} 0001 0001"
         assert self.reply(query, "nxdomain") == hexbytes(
-            f"4242 9183 0001 0000 0000 0000 {QNAME_HEX} 0001 0001"
+            f"4242 8183 0001 0000 0000 0000 {QNAME_HEX} 0001 0001"
         )
+        # opcode 2 as well: not a QUERY, so a header-only NOTIMP that keeps the opcode
+        query = f"4242 17f5 0001 0000 0000 0000 {QNAME_HEX} 0001 0001"
+        assert self.reply(query, "nxdomain") == hexbytes("4242 9184 0000 0000 0000 0000")
 
     def test_formerr_for_a_three_byte_datagram(self):
         # the missing header bytes read as zero; opcode 15 and RD come from byte 3

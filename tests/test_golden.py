@@ -1,5 +1,7 @@
 """Fresh runs on the corpus, their error paths, the help texts, and respond()
-on a fixed query set, against the committed goldens.
+on a fixed query set, against the committed goldens. scan-pii, evaluate and
+classify run again under each of make_golden's TRANSFORMS of tests/data, and
+must write the same goldens, stderr included.
 
 On a difference the test prints a unified diff. A change that alters an
 output on purpose regenerates the goldens with tests/make_golden.py.
@@ -17,13 +19,30 @@ from make_golden import (
     INGEST_FILES,
     PIPELINE_FILES,
     SCAN_PII_FILES,
+    TRANSFORMS,
     golden_texts,
+    transformed_texts,
 )
+
+# below GOLDEN: the files transformed_texts writes
+TRANSFORMED_FILES = tuple(
+    f"scan_pii/{rel}" for rel in SCAN_PII_FILES if rel != "variants.json"
+) + tuple(rel for rel in PIPELINE_FILES if rel.split("/")[0] in ("evaluate", "classify"))
 
 
 @pytest.fixture(scope="module")
-def fresh(tmp_path_factory):
-    return golden_texts(str(tmp_path_factory.mktemp("golden")))
+def work_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def fresh(work_dir):
+    return golden_texts(work_dir)
+
+
+@pytest.fixture(scope="module", params=TRANSFORMS)
+def transformed(request, fresh, work_dir):
+    return transformed_texts(work_dir, request.param)
 
 
 def check(fresh, rel):
@@ -67,3 +86,8 @@ def test_help_matches_golden(fresh, rel):
 
 def test_respond_matches_golden(fresh):
     check(fresh, "respond.jsonl")
+
+
+@pytest.mark.parametrize("rel", TRANSFORMED_FILES)
+def test_transformed_data_matches_golden(transformed, rel):
+    check(transformed, rel)

@@ -778,6 +778,7 @@ class TestMalformedPackets:
         )
         service = serve(cfg, [BLOCKED])
         datagrams = malformed_datagrams(seed, 80)
+        responses = sum(len(data) >= 12 and data[2] & 0x80 != 0 for data in datagrams)  # QR set
         try:
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
                 for data in datagrams:
@@ -791,9 +792,10 @@ class TestMalformedPackets:
                     except socket.timeout:
                         break
                     answers += 1
-            assert answers == len(datagrams)
+            assert answers == len(datagrams) - responses
             assert len(read_log(cfg.query_log_path)) == len(datagrams)
             assert service.stats()["total"] == len(datagrams)
+            assert service.stats()["dropped"] == responses
             msg, _ = dns_ask(service.address, "after.example.org", txid=0x5151)
             assert msg.header.txid == 0x5151 and msg.header.qr
             assert msg.header.rcode == dnswire.RCODE_NOERROR
@@ -821,6 +823,39 @@ class TestMalformedPackets:
             service.stop()
             upstream.close()
         assert [e["verdict"] for e in read_log(cfg.query_log_path)] == ["malformed"]
+        assert upstream.seen == []
+
+
+class TestResponsesAreDropped:
+    def test_a_reflector_gets_one_answer(self, tmp_path):
+        """A peer sends one blocked query, then echoes every datagram it gets with QR
+        set, as a naive UDP reflector does. The echo is a response, so it is dropped
+        and the loop ends after one answer."""
+        upstream = MockUpstream()
+        cfg = make_config(upstream.address, query_log_path=str(tmp_path / "log.jsonl"))
+        service = serve(cfg, [BLOCKED])
+        received = 0
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
+                peer.settimeout(0.3)
+                peer.sendto(dnswire.build_query("ads.example.com", dnswire.TYPE_A, 0x4242),
+                            service.address)
+                deadline = time.monotonic() + 1.0
+                while time.monotonic() < deadline:
+                    try:
+                        data, addr = peer.recvfrom(4096)
+                    except socket.timeout:
+                        break
+                    received += 1
+                    peer.sendto(data[:2] + bytes([data[2] | 0x80]) + data[3:], addr)
+            verdicts = [json.loads(line)["verdict"] for line in wait_for_log(cfg.query_log_path, 2)]
+            stats = service.stats()
+        finally:
+            service.stop()
+            upstream.close()
+        assert received == 1
+        assert verdicts == ["blocked", "dropped"]
+        assert (stats["total"], stats["blocked"], stats["dropped"]) == (2, 1, 1)
         assert upstream.seen == []
 
 
@@ -1050,6 +1085,9 @@ class TestRespondProperties:
     def test_every_datagram_gets_exactly_one_answer(self, data, match_mode, blocking_mode):
         cfg = make_config(("127.0.0.1", 5399), match_mode=match_mode, blocking_mode=blocking_mode)
         outcome = sinkhole.respond(data, [BLOCKED], cfg)
+        if len(data) >= 12 and dnswire.parse_header(data).qr:  # a response: no answer
+            assert outcome == (b"", "dropped", "", "", frozenset(), b"")
+            return
         assert (outcome.response is None) == (outcome.verdict == "forwarded")
         if outcome.response is None:
             assert data[12:12 + len(outcome.question)].lower() == outcome.question != b""
@@ -1063,7 +1101,18 @@ class TestRespondProperties:
             assert msg.header.rcode in (dnswire.RCODE_NOERROR, dnswire.RCODE_NXDOMAIN)
         else:
             assert outcome.verdict == "malformed"
-            assert dnswire.parse_header(response).rcode == dnswire.RCODE_FORMERR
+            notimp = len(data) >= 12 and dnswire.parse_header(data).opcode
+            rcode = dnswire.RCODE_NOTIMP if notimp else dnswire.RCODE_FORMERR
+            assert dnswire.parse_header(response).rcode == rcode
+
+    @settings(deadline=None)
+    @given(datagrams().filter(lambda data: len(data) >= 12),
+           st.sampled_from(["exact", "suffix"]))
+    def test_no_response_is_answered_or_forwarded(self, data, match_mode):
+        response = data[:2] + bytes([data[2] | 0x80]) + data[3:]  # QR set
+        cfg = make_config(("127.0.0.1", 5399), match_mode=match_mode)
+        outcome = sinkhole.respond(response, [BLOCKED], cfg)
+        assert (outcome.response, outcome.verdict) == (b"", "dropped")
 
     @settings(deadline=None)
     @given(PREFIX, st.sampled_from(["ads.example.com", "ADS.Example.COM", "trk.example.net"]),
