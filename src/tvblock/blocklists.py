@@ -25,13 +25,10 @@ diagnostics.
 
 from __future__ import annotations
 
-import logging
 import re
 from typing import AbstractSet, Iterable, Literal, NamedTuple, Optional, Sequence
 
-from .text import is_ip_literal, normalize_fqdn
-
-log = logging.getLogger(__name__)
+from .text import is_ip_literal, log_line, normalize_fqdn
 
 MatchMode = Literal["exact", "suffix"]
 MATCH_MODES = ("exact", "suffix")
@@ -196,8 +193,9 @@ def build_list(
         diagnostics: list[HostsLineDiagnostic] = []
         parsed.append(parse_hosts_list(text, diagnostics, wanted))
         for diag in diagnostics:
-            log.warning(
-                "%s:%d: skipped %r (%s)", path, diag.line_no, diag.token, diag.reason
+            log_line(
+                "WARNING", __name__,
+                f"{path}:{diag.line_no}: skipped {diag.token!r} ({diag.reason})",
             )
     return BlockList(name=name, entries=frozenset().union(*parsed))
 

@@ -7,6 +7,11 @@ configuration or input error. Flags override config-file values.
 Each command imports the modules it runs when it runs, so a process pays
 for no other command's code: ``serve`` loads the config and list loaders
 and the sinkhole, ``ingest`` the config loader and the traffic model.
+
+Besides a command's own ``warning:`` and ``error:`` lines, each diagnostic
+is one ``LEVEL source: message`` line that ``text.log_line`` writes straight
+to the current stderr. So no command loads ``logging``, and a run in a
+process that made runs before writes its warnings to its own stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import os
 import signal
 import sys
@@ -24,13 +28,11 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 from . import __version__
 from .blocklists import MATCH_MODES, BlockList, blocked_by, build_list, wanted_entries
 from .config import BLOCKING_MODES, GlobalConfig, load_config, load_lists_manifest
-from .text import KNOWN_PLATFORMS, decode_json
+from .text import KNOWN_PLATFORMS, decode_json, log_line
 
 if TYPE_CHECKING:
     from . import pii, psl
     from .traffic import Dataset, DatasetSummary, FlowRecord, HttpTransaction, Platform
-
-log = logging.getLogger("tvblock")
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -641,7 +643,7 @@ def cmd_serve(args) -> int:
                 [active[n] for n in sink_cfg.active_lists if n in active]
             )
         except Exception as exc:  # keep serving under the old lists
-            log.error("list reload failed: %s", exc)
+            log_line("ERROR", "tvblock", f"list reload failed: {exc}")
 
     service = None
     # SIGINT may come as soon as the first query is answered, which can be
@@ -650,9 +652,6 @@ def cmd_serve(args) -> int:
     try:
         sink_cfg.validate()
         service = sinkhole.serve(sink_cfg, lists)
-        # The SIGUSR1 stats dump and the reload's "active lists now" line
-        # reach stderr; the sinkhole logs nothing per query.
-        logging.getLogger(sinkhole.__name__).setLevel(logging.INFO)
         signal.signal(signal.SIGHUP, reload_lists)
         signal.signal(signal.SIGUSR1, lambda s, f: service.dump_stats())
         signal.signal(signal.SIGTERM, signal.default_int_handler)
@@ -748,7 +747,6 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

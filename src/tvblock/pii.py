@@ -13,16 +13,14 @@ every variant.
 from __future__ import annotations
 
 import enum
-import logging
 import re
 import urllib.parse
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .blocklists import BlockList, MatchMode, blocked_by
 from .party import ClassificationContext, PartyLabel, classify
+from .text import log_line
 from .traffic import HttpTransaction, decode_json, require_field
-
-log = logging.getLogger(__name__)
 
 
 class PiiKind(enum.Enum):
@@ -406,6 +404,8 @@ def warn_if_world_readable(path: str) -> bool:
     except OSError:
         return False
     if mode & stat.S_IROTH:
-        log.warning("PII spec file %s is world-readable; tighten its permissions", path)
+        log_line(
+            "WARNING", __name__, f"PII spec file {path} is world-readable; tighten its permissions"
+        )
         return True
     return False

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import random
 import selectors
 import socket
@@ -33,8 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import dnswire
 from .blocklists import BlockList, blocked_by
 from .config import SinkholeConfig, parse_hostport
-
-log = logging.getLogger(__name__)
+from .text import log_line
 
 MAX_PENDING = 4096  # forwarded queries awaiting the upstream; more are shed
 _UPSTREAMS = 8  # upstream sockets, each on its own random source port
@@ -299,7 +297,6 @@ class Sinkhole:
             self._spawn("tvblock-dns", self._serve)
             if self._stats_sock:
                 self._spawn("tvblock-stats", self._stats_loop)
-            log.info("sinkhole listening on %s", self.address)
         except BaseException:  # a KeyboardInterrupt too: end the threads, close all
             self.stop()
             raise
@@ -327,7 +324,7 @@ class Sinkhole:
             try:
                 self._log_fh.close()
             except OSError as exc:
-                log.warning("query log close failed: %s", exc)
+                log_line("WARNING", __name__, f"query log close failed: {exc}")
             self._log_fh = None
 
     @property
@@ -346,9 +343,8 @@ class Sinkhole:
     def set_lists(self, lists: Sequence[BlockList]) -> None:
         """Swap the active blocklist snapshot; new queries see the new set."""
         self._lists = tuple(lists)
-        log.info(
-            "active lists now: %s", ", ".join(bl.name for bl in self._lists) or "(none)"
-        )
+        names = ", ".join(bl.name for bl in self._lists) or "(none)"
+        log_line("INFO", __name__, f"active lists now: {names}")
 
     def stats(self) -> dict:
         """The counters, read without a lock while the loop runs: "total" may
@@ -383,7 +379,7 @@ class Sinkhole:
                         else:
                             self._on_reply(key.fileobj)
                     except Exception:  # never let one datagram end the loop
-                        log.exception("query handling failed")
+                        log_line("ERROR", __name__, "query handling failed", with_traceback=True)
                 if listening and not self._running.is_set():
                     sel.unregister(self._sock)  # stop reading; finish the pending
                     listening = False
@@ -412,7 +408,7 @@ class Sinkhole:
         try:
             fresh = _upstream_socket(self.cfg.upstream)
         except OSError as exc:
-            log.warning("cannot open a new upstream socket: %s", exc)
+            log_line("WARNING", __name__, f"cannot open a new upstream socket: {exc}")
             return
         self._sel.register(fresh, selectors.EVENT_READ)
         self._forwarder.rotate(fresh, time.monotonic_ns())
@@ -453,10 +449,10 @@ class Sinkhole:
             except OSError as exc:
                 self._counters["log_errors"] += 1
                 if self._counters["log_errors"] == 1:
-                    log.warning(
-                        "query log write failed (%s); answering continues, "
+                    log_line(
+                        "WARNING", __name__,
+                        f"query log write failed ({exc}); answering continues, "
                         "further failures are counted as log_errors only",
-                        exc,
                     )
         if response:
             try:
@@ -483,7 +479,7 @@ class Sinkhole:
 
     def dump_stats(self) -> None:
         """On-signal stats dump for deployments without the TCP endpoint."""
-        log.info("stats: %s", json.dumps(self.stats()))
+        log_line("INFO", __name__, f"stats: {json.dumps(self.stats())}")
 
 
 def serve(cfg: SinkholeConfig, lists: Sequence[BlockList]) -> Sinkhole:

@@ -1,8 +1,10 @@
-"""Name and JSON text helpers shared by every module that reads input.
+"""Name and JSON text helpers shared by every module that reads input, and
+the one writer of diagnostic lines.
 
 A leaf: it imports no other tvblock module and defines no class, so the
 config, PSL and list loaders (and through them ``serve``) use these without
-loading the traffic data model. ``traffic`` re-exports every name here.
+loading the traffic data model. ``traffic`` re-exports the name and JSON
+helpers.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import ipaddress
 import json
 import re
+import sys
 
 KNOWN_PLATFORMS = (
     "Roku",
@@ -72,3 +75,24 @@ def decode_json(text: str):
     except UnicodeEncodeError:
         raise json.JSONDecodeError("lone surrogate in a string", text, 0) from None
     return value
+
+
+def log_line(level: str, source: str, message: str, with_traceback: bool = False) -> None:
+    """Write ``LEVEL source: message`` to the current ``sys.stderr`` in one write.
+
+    The diagnostics of every command go through here, so none loads
+    ``logging``. With ``with_traceback``, called in an ``except`` block, the
+    traceback follows the message. It never raises: the line is dropped when
+    sys.stderr is None or its write fails with OSError or ValueError (closed).
+    """
+    if with_traceback:
+        import traceback  # only a failure that has no answer of its own pays for it
+
+        message += "\n" + traceback.format_exc().rstrip("\n")
+    stream = sys.stderr
+    if stream is None:
+        return
+    try:
+        stream.write(f"{level} {source}: {message}\n")
+    except (OSError, ValueError):
+        pass

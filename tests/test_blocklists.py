@@ -86,11 +86,11 @@ class TestBuildList:
         ],
         ids=["bare-domain", "hosts"],
     )
-    def test_byte_order_mark_is_not_read_as_text(self, tmp_path, caplog, text):
+    def test_byte_order_mark_is_not_read_as_text(self, tmp_path, capsys, text):
         path = tmp_path / "bom.txt"
         path.write_text(text, encoding="utf-8", newline="")
         assert build_list("L", [str(path)]).entries == {"ads.example.com", "track.example.net"}
-        assert "skipped" not in caplog.text
+        assert "skipped" not in capsys.readouterr().err
 
     def test_fixture_hand_count(self, tmp_path):
         # 5 files, 12 raw lines total: 1 comment + 11 entries of which 2 are
@@ -112,16 +112,15 @@ class TestBuildList:
         assert bl.entry_count == 9
         assert "one.com" in bl.entries and "nine.com" in bl.entries
 
-    def test_wanted_set_keeps_its_entries_and_every_warning(self, tmp_path, caplog):
+    def test_wanted_set_keeps_its_entries_and_every_warning(self, tmp_path, capsys):
         path = tmp_path / "l.txt"
         path.write_text("0.0.0.0 ads.example.com\n0.0.0.0 bad^host\nexample.net\nother.org\n")
         full = build_list("L", [str(path)])
-        full_log = caplog.text
-        caplog.clear()
+        full_log = capsys.readouterr().err
         kept = build_list("L", [str(path)], wanted_entries(["x.ads.example.com", "other.org"]))
         assert full.entries == {"ads.example.com", "example.net", "other.org"}
         assert kept == BlockList("L", frozenset({"ads.example.com", "other.org"}))
-        assert "skipped 'bad^host'" in full_log and caplog.text == full_log
+        assert "skipped 'bad^host'" in full_log and capsys.readouterr().err == full_log
 
 
 class TestIsBlocked:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import queue
@@ -9,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -355,6 +358,29 @@ class TestScanPii:
         )
         assert code == 0
         assert json.loads(stdout)["exposures"] == 0
+
+    def test_each_in_process_run_warns_on_the_stderr_it_runs_under(
+        self, roku_bundle, tmp_path, capsys
+    ):
+        """Runs in one process, each under another stderr: each run's warning
+        reaches the stderr it ran under, not the one an earlier run had."""
+        spec = tmp_path / "spec.json"
+        spec.write_text((Path(CORPUS_DIR) / "pii_spec.json").read_text())
+        spec.chmod(0o644)
+        argv = ["scan-pii", "--bundle", str(roku_bundle), "--config", CORPUS_CONFIG,
+                "--pii-spec", str(spec)]
+        warning = (
+            f"WARNING tvblock.pii: PII spec file {spec} is world-readable; "
+            "tighten its permissions\n"
+        )
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, warning)
+        other = io.StringIO()
+        with contextlib.redirect_stderr(other):
+            code = main(argv)
+        assert (code, other.getvalue(), capsys.readouterr().err) == (0, warning, "")
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, warning)
 
     def test_missing_spec_exits_2(self, roku_bundle, tmp_path, capsys):
         code, _, _ = run(

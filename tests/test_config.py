@@ -89,7 +89,9 @@ def test_evaluate_loads_no_hashlib(tmp_path):
 
 def test_no_command_loads_dataclasses_or_inspect(tmp_path):
     """Every value type is a NamedTuple or a slot class, so no command loads
-    dataclasses, nor inspect, which dataclasses imports."""
+    dataclasses, nor inspect, which dataclasses imports. Nor does any command
+    load logging: each diagnostic is one line that text.log_line writes to
+    stderr."""
     ingest_and_scan(str(tmp_path))
     config = os.path.join(DATA, "corpus_config.json")
     roku, firetv = str(tmp_path / "roku"), str(tmp_path / "firetv")
@@ -109,7 +111,7 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
     loaded = {
         name: _loaded_after(
             f"{stop_serving}from tvblock import cli\nassert cli.main({argv!r}) == 0",
-            ["dataclasses", "inspect"],
+            ["dataclasses", "inspect", "logging"],
         )
         for name, argv in commands.items()
     }

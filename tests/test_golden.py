@@ -45,18 +45,26 @@ def transformed(request, fresh, work_dir):
     return transformed_texts(work_dir, request.param)
 
 
-def check(fresh, rel):
+def _diff(fresh, rel) -> str:
+    """The unified diff of ``rel``'s golden and fresh text; empty when they are equal."""
     with open(os.path.join(GOLDEN, rel), encoding="utf-8", newline="") as fh:
         want = fh.read()
-    got = fresh[rel]
-    if got != want:
-        diff = difflib.unified_diff(
-            want.splitlines(keepends=True),
-            got.splitlines(keepends=True),
-            fromfile=f"golden/{rel}",
-            tofile=f"fresh/{rel}",
-        )
-        pytest.fail("output differs from its golden:\n" + "".join(diff), pytrace=False)
+    return "".join(difflib.unified_diff(
+        want.splitlines(keepends=True),
+        fresh[rel].splitlines(keepends=True),
+        fromfile=f"golden/{rel}",
+        tofile=f"fresh/{rel}",
+    ))
+
+
+def check(fresh, rel):
+    if rel not in fresh:  # its command failed: its transcript says why
+        transcript = os.path.join(os.path.dirname(rel), "run.txt")
+        cause = _diff(fresh, transcript) if transcript in fresh else ""
+        pytest.fail(f"{cause}fresh/{rel} was not written", pytrace=False)
+    diff = _diff(fresh, rel)
+    if diff:
+        pytest.fail("output differs from its golden:\n" + diff, pytrace=False)
 
 
 @pytest.mark.parametrize("rel", INGEST_FILES)

@@ -258,15 +258,22 @@ def test_deeply_nested_config_exits_2(corpus, tmp_path):
 
 
 def test_deeply_nested_pii_spec_exits_2(corpus, tmp_path):
+    """The world-readable warning comes first, as scan-pii checks the spec's
+    mode before it reads the spec, then the error."""
     spec = tmp_path / "spec.json"
     spec.write_text(DEEP)
+    spec.chmod(0o644)
     out = tmp_path / "out"
     code, stdout, err = _main(
         "scan-pii", "--bundle", corpus / "bundle", "--config", CORPUS_CONFIG,
         "--pii-spec", spec, "--out", out,
     )
     assert (code, stdout) == (2, "")
-    assert err.startswith("error: invalid PII spec: nested too deeply")
+    warning, error = err.splitlines()
+    assert warning == (
+        f"WARNING tvblock.pii: PII spec file {spec} is world-readable; tighten its permissions"
+    )
+    assert error.startswith("error: invalid PII spec: nested too deeply")
     assert not out.exists()
 
 

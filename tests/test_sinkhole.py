@@ -1,6 +1,5 @@
 import errno
 import json
-import logging
 import os
 import random
 import socket
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvblock import dnswire, sinkhole
-from tvblock.blocklists import BlockList
+from tvblock.blocklists import BlockList, build_list
 from tvblock.sinkhole import (
     BindFailure,
     Sinkhole,
@@ -495,6 +494,34 @@ class TestQueryLogFailure:
         assert stats["total"] == 200
         assert stats["log_errors"] == 200
 
+    @pytest.mark.parametrize("stderr", ["raises", None])
+    def test_an_unwritable_stderr_loses_only_the_warnings(self, monkeypatch, tmp_path, stderr):
+        """With a stderr whose writes fail, or none at all, each warning is
+        dropped and nothing else changes: the sinkhole still answers and counts
+        the failed query-log writes on a live loop, and a list with a bad token
+        still builds."""
+
+        class Unwritable:
+            def write(self, text):
+                raise OSError(errno.EIO, "stderr is gone")
+
+        monkeypatch.setattr(sys, "stderr", Unwritable() if stderr else None)
+        upstream = MockUpstream()
+        service = serve(make_config(upstream.address, query_log_path="/dev/full"), [BLOCKED])
+        try:
+            msg, _ = dns_ask(service.address, "ads.example.com")
+            assert msg.answers[0].address == "0.0.0.0"
+            msg, _ = dns_ask(service.address, "clean.example.org", txid=0x2222)
+            assert msg.answers[0].address == "93.184.216.34"
+            assert service.stats()["log_errors"] == 2
+            assert [t.name for t in service._threads if t.is_alive()] == ["tvblock-dns"]
+        finally:
+            service.stop()
+            upstream.close()
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0.0.0.0 bad^host\n0.0.0.0 ads.example.com\n")
+        assert build_list("L", [str(bad)]).entries == {"ads.example.com"}
+
 
 def free_udp_port():
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
@@ -804,7 +831,7 @@ class TestMalformedPackets:
             service.stop()
             upstream.close()
 
-    def test_malformed_datagram_is_counted_apart_from_upstream_errors(self, tmp_path, caplog):
+    def test_malformed_datagram_is_counted_apart_from_upstream_errors(self, tmp_path, capsys):
         upstream = MockUpstream()
         cfg = make_config(upstream.address, query_log_path=str(tmp_path / "log.jsonl"))
         service = serve(cfg, [BLOCKED])
@@ -816,14 +843,49 @@ class TestMalformedPackets:
             assert dnswire.parse_header(data).rcode == dnswire.RCODE_FORMERR
             stats = service.stats()
             assert (stats["total"], stats["malformed"], stats["upstream_errors"]) == (1, 1, 0)
-            with caplog.at_level(logging.INFO, logger="tvblock.sinkhole"):
-                service.dump_stats()  # what SIGUSR1 logs
-            assert '"malformed": 1, "upstream_errors": 0' in caplog.text
+            capsys.readouterr()
+            service.dump_stats()  # what SIGUSR1 logs
+            assert '"malformed": 1, "upstream_errors": 0' in capsys.readouterr().err
         finally:
             service.stop()
             upstream.close()
         assert [e["verdict"] for e in read_log(cfg.query_log_path)] == ["malformed"]
         assert upstream.seen == []
+
+
+    def test_a_failure_while_handling_prints_its_traceback_and_serving_goes_on(
+        self, monkeypatch, capsys
+    ):
+        real_respond = sinkhole.respond
+        calls = []
+
+        def respond_once_failing(data, lists, cfg):
+            calls.append(data)
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            return real_respond(data, lists, cfg)
+
+        monkeypatch.setattr(sinkhole, "respond", respond_once_failing)
+        upstream = MockUpstream()
+        service = serve(make_config(upstream.address), [BLOCKED])
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                query = dnswire.build_query("ads.example.com", dnswire.TYPE_A, 1)
+                client.sendto(query, service.address)
+                client.settimeout(0.3)
+                with pytest.raises(socket.timeout):
+                    client.recvfrom(4096)  # the failed datagram gets no answer
+            msg, _ = dns_ask(service.address, "ads.example.com", txid=2)
+            assert msg.answers[0].address == "0.0.0.0"
+        finally:
+            service.stop()
+            upstream.close()
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[:2] == [
+            "ERROR tvblock.sinkhole: query handling failed",
+            "Traceback (most recent call last):",
+        ]
+        assert lines[-1] == "RuntimeError: boom"
 
 
 class TestResponsesAreDropped:
