@@ -394,18 +394,16 @@ def redact(
     )
 
 
-def warn_if_world_readable(path: str) -> bool:
-    """Log a warning when the PII spec file is readable by other users."""
+def warn_if_world_readable(path: str) -> None:
+    """Warn on stderr when the PII spec file is readable by other users."""
     import os
     import stat
 
     try:
         mode = os.stat(path).st_mode
     except OSError:
-        return False
+        return
     if mode & stat.S_IROTH:
         log_line(
             "WARNING", __name__, f"PII spec file {path} is world-readable; tighten its permissions"
         )
-        return True
-    return False

@@ -1,14 +1,13 @@
-"""Name and JSON text helpers shared by every module that reads input, and
-the one writer of diagnostic lines.
+"""Name and JSON text helpers for every module that reads input; diagnostics.
 
 A leaf: it imports no other tvblock module and defines no class, so the
 config, PSL and list loaders (and through them ``serve``) use these without
-loading the traffic data model. ``traffic`` re-exports the name and JSON
-helpers.
+loading the traffic data model. ``traffic`` re-exports the input helpers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ipaddress
 import json
 import re
@@ -78,21 +77,13 @@ def decode_json(text: str):
 
 
 def log_line(level: str, source: str, message: str, with_traceback: bool = False) -> None:
-    """Write ``LEVEL source: message`` to the current ``sys.stderr`` in one write.
-
-    The diagnostics of every command go through here, so none loads
-    ``logging``. With ``with_traceback``, called in an ``except`` block, the
-    traceback follows the message. It never raises: the line is dropped when
-    sys.stderr is None or its write fails with OSError or ValueError (closed).
-    """
+    """Write ``LEVEL source: message`` to the current sys.stderr in one write;
+    with ``with_traceback``, in an ``except`` block, the traceback follows. It
+    never raises: without a stderr, or on OSError or ValueError, the line is dropped."""
     if with_traceback:
-        import traceback  # only a failure that has no answer of its own pays for it
-
+        import traceback  # only a failure with no answer of its own pays for it
         message += "\n" + traceback.format_exc().rstrip("\n")
     stream = sys.stderr
-    if stream is None:
-        return
-    try:
-        stream.write(f"{level} {source}: {message}\n")
-    except (OSError, ValueError):
-        pass
+    if stream is not None:
+        with contextlib.suppress(OSError, ValueError):
+            stream.write(f"{level} {source}: {message}\n")

@@ -258,8 +258,8 @@ def test_deeply_nested_config_exits_2(corpus, tmp_path):
 
 
 def test_deeply_nested_pii_spec_exits_2(corpus, tmp_path):
-    """The world-readable warning comes first, as scan-pii checks the spec's
-    mode before it reads the spec, then the error."""
+    """scan-pii checks the spec's mode before it reads the spec, so the
+    world-readable warning comes before the error."""
     spec = tmp_path / "spec.json"
     spec.write_text(DEEP)
     spec.chmod(0o644)
